@@ -23,10 +23,10 @@ use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::{personalize_with_retry, PersonalizationResult};
 use uniq_dsp::stats::median;
 use uniq_geometry::vec2::angle_diff_deg;
+use uniq_obs::json::Json;
 use uniq_obs::sink::{json_escape, json_number};
+use uniq_obs::Recorder;
 use uniq_obs::Stopwatch;
-use uniq_profile::json::Json;
-use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
 
 /// Schema stamp on `BENCH_BASELINE.json` (bump on shape changes).
@@ -208,9 +208,9 @@ fn hrir_similarity(
 }
 
 /// Measures the allocation profile of the spec's personalize workload at
-/// `threads`: one unmeasured run first (prewarming the pool, lazy tables,
-/// and span-name slots), then the measured run under a
-/// [`uniq_memprof::StageTrackingSink`] so spans stay enabled for stage
+/// `threads`: one unmeasured run first (prewarming the pool and lazy
+/// tables), then the measured run under a
+/// [`uniq_obs::sink::NoopSink`] so spans stay enabled for stage
 /// attribution even without another sink. Meaningful only when the
 /// `uniq-memprof` counting allocator is installed in the running binary
 /// (the snapshot is empty otherwise). Counters are process-global — the
@@ -218,7 +218,7 @@ fn hrir_similarity(
 pub fn alloc_profile(spec: &BaselineSpec, threads: usize) -> uniq_memprof::AllocSnapshot {
     let cfg = spec.config(threads);
     let subject = Subject::from_seed(spec.seed);
-    let sink = Arc::new(uniq_memprof::StageTrackingSink);
+    let sink = Arc::new(uniq_obs::sink::NoopSink);
     uniq_obs::with_sink(sink, || {
         personalize_with_retry(&subject, &cfg, spec.seed, 3).expect("baseline personalize failed");
         let (_, snap) = uniq_memprof::measure(|| {
@@ -391,7 +391,7 @@ pub fn run_baseline(spec: &BaselineSpec) -> String {
     let mut quality: Vec<(String, String)> = Vec::new();
     let mut perf: Vec<(String, String)> = Vec::new();
 
-    // --- personalize at each pool size, the first under the profiler.
+    // --- personalize at each pool size, the first under the recorder.
     let subject = Subject::from_seed(spec.seed);
     let mut first_result: Option<PersonalizationResult> = None;
     let mut stages_json = String::from("[]");
@@ -400,7 +400,7 @@ pub fn run_baseline(spec: &BaselineSpec) -> String {
         let cfg = spec.config(threads);
         let sw = Stopwatch::start();
         let result = if i == 0 {
-            let profile = Arc::new(ProfileSink::new());
+            let profile = Arc::new(Recorder::new());
             let result = uniq_obs::with_sink(profile.clone(), || {
                 personalize_with_retry(&subject, &cfg, spec.seed, 3)
             })
@@ -823,7 +823,8 @@ pub fn quality_identical(a: &Json, b: &Json) -> bool {
     quality && serve
 }
 
-/// Validates a `--profile-out` JSON document: parseable, schema-stamped,
+/// Validates a recorded profile document (`uniq … --record DIR` writes
+/// `DIR/profile.json`): parseable, schema-stamped,
 /// and covering every pipeline stage. Returns the covered stage names.
 pub fn verify_profile(text: &str) -> Result<Vec<String>, String> {
     let doc = Json::parse(text)?;
@@ -831,7 +832,7 @@ pub fn verify_profile(text: &str) -> Result<Vec<String>, String> {
         .get("schema_version")
         .and_then(Json::as_u64)
         .ok_or("profile has no schema_version")?;
-    if version != uniq_profile::PROFILE_SCHEMA_VERSION {
+    if version != uniq_obs::record::PROFILE_SCHEMA_VERSION {
         return Err(format!("unsupported profile schema v{version}"));
     }
     let stages: Vec<String> = doc

@@ -7,7 +7,7 @@
 //! baseline bless                       # refresh BENCH_BASELINE.json
 //! baseline compare --baseline BENCH_BASELINE.json [--fresh F]
 //!          [--quality-tol X] [--perf-tol X] [--strict]
-//! baseline verify-profile PROFILE.json # stage coverage of a --profile-out file
+//! baseline verify-profile PROFILE.json # stage coverage of a recorded profile.json
 //! baseline quality-identical A B       # bit-identical quality sections?
 //! ```
 //!
@@ -18,7 +18,7 @@ use uniq_bench::baseline::{
     compare, persist_to_store, quality_identical, run_baseline, verify_profile, BaselineSpec,
     BASELINE_FILE, DEFAULT_PERF_TOL, DEFAULT_QUALITY_TOL,
 };
-use uniq_profile::json::Json;
+use uniq_obs::json::Json;
 use uniq_telemetry::ledger::{self, LedgerRecord};
 
 /// The counting allocator: always installed in this binary (recording is
@@ -37,7 +37,7 @@ fn usage() -> String {
      \x20 compare --baseline FILE [--fresh FILE] [--quality-tol X] [--perf-tol X] [--strict]\n\
      \x20                                diff a fresh run (or --fresh file) against the\n\
      \x20                                baseline; quality drift fails, perf drift warns\n\
-     \x20 verify-profile FILE            check a uniq --profile-out file parses and covers\n\
+     \x20 verify-profile FILE            check a recorded profile.json parses and covers\n\
      \x20                                every pipeline stage\n\
      \x20 quality-identical A B          exit 0 iff both documents carry bit-identical\n\
      \x20                                quality sections\n\

@@ -10,7 +10,7 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
-use uniq_profile::json::Json;
+use uniq_obs::json::Json;
 
 /// Schema stamp written into `timings.json` (bump on shape changes).
 pub const TIMINGS_SCHEMA_VERSION: u64 = 2;

@@ -1,4 +1,6 @@
-//! A tiny `--flag value` argument parser.
+//! A tiny, strict `--flag value` argument parser: each subcommand names
+//! the flags it accepts, and anything else is an error, so a typo or a
+//! retired flag fails loudly instead of silently doing nothing.
 
 use std::collections::BTreeMap;
 
@@ -12,6 +14,19 @@ pub struct Args {
     switches: Vec<String>,
 }
 
+/// The flags one subcommand accepts, each list space-separated.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlagSet {
+    /// Flags that take a value (`--seed 6`).
+    pub options: &'static str,
+    /// Bare switches (`--anechoic`).
+    pub switches: &'static str,
+}
+
+fn listed(list: &str, key: &str) -> bool {
+    list.split_whitespace().any(|flag| flag == key)
+}
+
 /// Parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
@@ -23,6 +38,15 @@ pub enum ArgError {
     Required(String),
     /// A value failed to parse.
     BadValue(String, String),
+    /// A flag the subcommand does not accept.
+    UnknownFlag {
+        /// The subcommand.
+        command: String,
+        /// The flag, without its `--`.
+        flag: String,
+    },
+    /// A flag given more than once.
+    DuplicateFlag(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -32,6 +56,10 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::Required(k) => write!(f, "required option --{k} missing"),
             ArgError::BadValue(k, v) => write!(f, "bad value {v:?} for --{k}"),
+            ArgError::UnknownFlag { command, flag } => {
+                write!(f, "unknown option --{flag} for {command:?}")
+            }
+            ArgError::DuplicateFlag(k) => write!(f, "option --{k} given more than once"),
         }
     }
 }
@@ -39,24 +67,33 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parses raw arguments (without the program name). `switch_names`
-    /// lists flags that take no value.
-    pub fn parse(raw: &[String], switch_names: &[&str]) -> Result<Args, ArgError> {
+    /// Parses raw arguments (without the program name): the subcommand,
+    /// then only the flags `flags(subcommand)` accepts, each at most once.
+    pub fn parse(raw: &[String], flags: impl Fn(&str) -> FlagSet) -> Result<Args, ArgError> {
         let mut it = raw.iter();
         let command = it.next().ok_or(ArgError::MissingCommand)?.clone();
+        let accepted = flags(&command);
         let mut options = BTreeMap::new();
         let mut switches = Vec::new();
         while let Some(tok) = it.next() {
             let key = tok
                 .strip_prefix("--")
                 .ok_or_else(|| ArgError::BadValue("<positional>".into(), tok.clone()))?;
-            if switch_names.contains(&key) {
+            if options.contains_key(key) || switches.iter().any(|s| s == key) {
+                return Err(ArgError::DuplicateFlag(key.to_string()));
+            }
+            if listed(accepted.switches, key) {
                 switches.push(key.to_string());
-            } else {
+            } else if listed(accepted.options, key) {
                 let val = it
                     .next()
                     .ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
                 options.insert(key.to_string(), val.clone());
+            } else {
+                return Err(ArgError::UnknownFlag {
+                    command,
+                    flag: key.to_string(),
+                });
             }
         }
         Ok(Args {
@@ -106,17 +143,19 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn raw(s: &str) -> Vec<String> {
-        s.split_whitespace().map(String::from).collect()
+    const FLAGS: FlagSet = FlagSet {
+        options: "seed grid table",
+        switches: "anechoic",
+    };
+
+    fn parse(s: &str) -> Result<Args, ArgError> {
+        let raw: Vec<String> = s.split_whitespace().map(String::from).collect();
+        Args::parse(&raw, |_| FLAGS)
     }
 
     #[test]
     fn parses_command_options_switches() {
-        let a = Args::parse(
-            &raw("personalize --seed 42 --anechoic --grid 5"),
-            &["anechoic"],
-        )
-        .unwrap();
+        let a = parse("personalize --seed 42 --anechoic --grid 5").unwrap();
         assert_eq!(a.command, "personalize");
         assert_eq!(a.get_u64("seed", 0).unwrap(), 42);
         assert_eq!(a.get_f64("grid", 1.0).unwrap(), 5.0);
@@ -126,25 +165,27 @@ mod tests {
 
     #[test]
     fn defaults_apply() {
-        let a = Args::parse(&raw("info"), &[]).unwrap();
+        let a = parse("info").unwrap();
         assert_eq!(a.get_f64("theta", 30.0).unwrap(), 30.0);
         assert!(a.get("table").is_none());
     }
 
     #[test]
     fn missing_command_rejected() {
-        assert_eq!(Args::parse(&[], &[]).unwrap_err(), ArgError::MissingCommand);
+        assert_eq!(parse("").unwrap_err(), ArgError::MissingCommand);
     }
 
     #[test]
     fn missing_value_rejected() {
-        let err = Args::parse(&raw("x --seed"), &[]).unwrap_err();
-        assert_eq!(err, ArgError::MissingValue("seed".into()));
+        assert_eq!(
+            parse("x --seed").unwrap_err(),
+            ArgError::MissingValue("seed".into())
+        );
     }
 
     #[test]
     fn bad_number_rejected() {
-        let a = Args::parse(&raw("x --seed banana"), &[]).unwrap();
+        let a = parse("x --seed banana").unwrap();
         assert!(matches!(
             a.get_u64("seed", 0),
             Err(ArgError::BadValue(_, _))
@@ -153,8 +194,36 @@ mod tests {
 
     #[test]
     fn required_option() {
-        let a = Args::parse(&raw("x --table t.hrtf"), &[]).unwrap();
+        let a = parse("x --table t.hrtf").unwrap();
         assert_eq!(a.require("table").unwrap(), "t.hrtf");
         assert!(a.require("missing").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_rejected() {
+        assert_eq!(
+            parse("personalize --thredas 4").unwrap_err(),
+            ArgError::UnknownFlag {
+                command: "personalize".into(),
+                flag: "thredas".into()
+            }
+        );
+        // An unknown flag is never taken for a switch either.
+        assert!(matches!(
+            parse("personalize --verbose").unwrap_err(),
+            ArgError::UnknownFlag { .. }
+        ));
+    }
+
+    #[test]
+    fn duplicate_flags_rejected() {
+        assert_eq!(
+            parse("x --seed 1 --seed 2").unwrap_err(),
+            ArgError::DuplicateFlag("seed".into())
+        );
+        assert_eq!(
+            parse("x --anechoic --anechoic").unwrap_err(),
+            ArgError::DuplicateFlag("anechoic".into())
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! CLI subcommand implementations.
 
-use crate::args::Args;
+use crate::args::{Args, FlagSet};
 use std::path::Path;
 use std::sync::Arc;
 use uniq_acoustics::signals::SignalKind;
@@ -8,22 +8,52 @@ use uniq_core::config::UniqConfig;
 use uniq_core::degrade::DegradationPolicy;
 use uniq_core::pipeline::{personalize_faulted_with_retry, personalize_with_retry};
 use uniq_faults::FaultPlan;
-use uniq_obs::report::Report;
-use uniq_obs::sink::{JsonLinesSink, MemorySink, MultiSink, Sink, StderrSink};
-use uniq_profile::ProfileSink;
+use uniq_obs::sink::{JsonLinesSink, MultiSink, Sink, StderrSink};
+use uniq_obs::{RecordReport, Recorder};
 use uniq_subjects::Subject;
 use uniq_telemetry::ledger::{self, LedgerRecord};
-use uniq_telemetry::TelemetrySink;
+
+/// The flags each subcommand accepts (`faulted`: under the `faults`
+/// wrapper, which adds the fault-plan flags to `personalize`). Every
+/// command takes `--trace` and `--record DIR`; anything else is an
+/// [`crate::args::ArgError::UnknownFlag`].
+pub fn flags(command: &str, faulted: bool) -> FlagSet {
+    const RUN: &str = "seed out grid snr history record";
+    let (options, switches) = match (command, faulted) {
+        ("personalize", false) => (RUN, "anechoic trace"),
+        ("personalize", true) => (
+            "seed out grid snr history record fault-plan fault-seed fault-retries fault-report",
+            "anechoic trace no-skip",
+        ),
+        ("batch", _) => (
+            "subjects seed threads grid snr scaling out history record",
+            "anechoic trace",
+        ),
+        ("info", _) => ("table record", "trace"),
+        ("render", _) => ("table theta duration seed signal out record", "near trace"),
+        ("aoa", _) => ("table theta seed signal record", "trace"),
+        ("serve", _) => (
+            "addr shards queue-depth grid snr fault-plan fault-seed store addr-file history record",
+            "anechoic trace",
+        ),
+        ("loadgen", _) => (
+            "addr subjects seed clients repeat grid snr history record",
+            "anechoic no-cache shutdown trace",
+        ),
+        _ => ("", ""),
+    };
+    FlagSet { options, switches }
+}
 
 /// Runs a parsed command; returns a human-readable report or an error
 /// message.
 ///
-/// `--trace` streams a live span tree to stderr and appends an end-of-run
-/// stage-timing/metrics summary; `--metrics-out FILE` writes every
-/// observability event as JSON lines. Both observe the same run — neither
-/// changes the pipeline's numeric output.
+/// `--trace` streams a live span tree to stderr and appends the recorded
+/// per-stage table; `--record DIR` writes every recorded view into DIR
+/// (see [`write_record`]). Both observe the same run — neither changes
+/// the pipeline's numeric output.
 pub fn run(args: &Args) -> Result<String, String> {
-    run_observed(args, None, dispatch)
+    run_observed(args, dispatch)
 }
 
 /// `uniq faults <command> …`: runs the wrapped command with a fault plan
@@ -32,13 +62,11 @@ pub fn run(args: &Args) -> Result<String, String> {
 /// to the command's output. The wrapped command's failure — and its
 /// nonzero exit status — propagates unchanged (see [`exit_code`]).
 pub fn run_faults(args: &Args) -> Result<String, String> {
-    run_observed(args, None, dispatch_faulted)
+    run_observed(args, dispatch_faulted)
 }
 
-/// Maps a command outcome to the process exit status. Shared by every
-/// wrapper (`profile`, `faults`, and their compositions) so a wrapped
-/// command that fails always surfaces a nonzero status — wrappers must
-/// never swallow it.
+/// Maps a command outcome to the process exit status, so the `faults`
+/// wrapper never swallows a wrapped command's failure.
 pub fn exit_code<T>(result: &Result<T, String>) -> i32 {
     match result {
         Ok(_) => 0,
@@ -46,71 +74,84 @@ pub fn exit_code<T>(result: &Result<T, String>) -> i32 {
     }
 }
 
-/// Runs `args` under the requested observability sinks plus an optional
-/// `extra` sink (the profiler). One shared assembly point so `uniq
-/// profile <command> --trace --metrics-out F` composes instead of the
-/// inner scope shadowing the profiler (innermost sink wins in uniq-obs).
+/// Runs `args` under the requested observability: a [`Recorder`] plus the
+/// live stderr tree for `--trace`, a [`Recorder`] plus the `trace.jsonl`
+/// event log and — when this binary installed the counting allocator —
+/// an allocation profile for `--record DIR`. The views are written even
+/// when the command fails: the record of a failed run is evidence.
 fn run_observed(
     args: &Args,
-    extra: Option<Arc<dyn Sink>>,
-    dispatch_fn: impl FnOnce(&Args) -> Result<String, String>,
+    dispatch_fn: fn(&Args) -> Result<String, String>,
 ) -> Result<String, String> {
     let trace = args.switch("trace");
-    let metrics_out = args.get("metrics-out");
-    let telemetry_out = args.get("telemetry-out");
-    let telemetry_json = args.get("telemetry-json");
-    let want_telemetry = telemetry_out.is_some() || telemetry_json.is_some();
-    if !trace && metrics_out.is_none() && !want_telemetry {
-        return match extra {
-            Some(sink) => uniq_obs::with_sink(sink, || dispatch_fn(args)),
-            None => dispatch_fn(args),
-        };
+    let record_dir = args.get("record").map(Path::new);
+    if !trace && record_dir.is_none() {
+        return dispatch_fn(args);
     }
 
-    let memory = Arc::new(MemorySink::new());
-    let mut sinks: Vec<Arc<dyn Sink>> = vec![memory.clone()];
+    let recorder = Arc::new(Recorder::new());
+    let mut sinks: Vec<Arc<dyn Sink>> = vec![recorder.clone()];
     if trace {
         sinks.push(Arc::new(StderrSink::new()));
     }
-    if let Some(path) = metrics_out {
-        let sink = JsonLinesSink::create(Path::new(path))
-            .map_err(|e| format!("cannot create {path}: {e}"))?;
+    if let Some(dir) = record_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        let path = dir.join("trace.jsonl");
+        let sink = JsonLinesSink::create(&path)
+            .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
         sinks.push(Arc::new(sink));
     }
-    let telemetry = if want_telemetry {
-        let sink = Arc::new(TelemetrySink::new());
-        sinks.push(sink.clone());
-        Some(sink)
-    } else {
-        None
-    };
-    sinks.extend(extra);
     let multi = Arc::new(MultiSink::new(sinks));
-    let result = uniq_obs::with_sink(multi.clone(), || dispatch_fn(args));
-    // Push buffered sinks (JSON lines) to disk even on error paths.
+    let measure_alloc = record_dir.is_some() && uniq_memprof::installed();
+    let mut alloc = None;
+    let result = uniq_obs::with_sink(multi.clone(), || {
+        if !measure_alloc {
+            return dispatch_fn(args);
+        }
+        // Measure the dispatch only, and emit the summary while the sinks
+        // are installed so the recorded counters carry the alloc totals.
+        let (result, snapshot) = uniq_memprof::measure(|| dispatch_fn(args));
+        snapshot.emit_obs_summary();
+        alloc = Some(snapshot);
+        result
+    });
     multi.flush();
-    if let Some(sink) = telemetry {
-        // The registry of a failed run is evidence — export regardless.
-        let snapshot = sink.snapshot();
-        if let Some(path) = telemetry_out {
-            std::fs::write(
-                Path::new(path),
-                uniq_telemetry::expose::prometheus(&snapshot),
-            )
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-        if let Some(path) = telemetry_json {
-            std::fs::write(
-                Path::new(path),
-                uniq_telemetry::expose::snapshot_json(&snapshot),
-            )
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
+    let mut report = recorder.report();
+    if let Some(snapshot) = alloc {
+        report.attach_alloc(snapshot);
     }
     if trace {
-        eprintln!("\n{}", Report::from_events(&memory.events()));
+        eprintln!("\n{}", report.render_table());
     }
-    result
+    match record_dir {
+        Some(dir) => {
+            write_record(dir, &report)?;
+            result.map(|output| format!("{output}\n\nrecord written to {}", dir.display()))
+        }
+        None => result,
+    }
+}
+
+/// Writes every view of a recorded run into `dir`, beside the
+/// `trace.jsonl` event log: the stage table (`report.txt`), the profile
+/// document (`profile.json`), latency- and bytes-weighted flamegraph
+/// lines (`flame.folded`, `alloc.folded`) and the metric registry
+/// (`telemetry.prom`, `telemetry.json`).
+fn write_record(dir: &Path, report: &RecordReport) -> Result<(), String> {
+    let views = [
+        ("report.txt", report.render_table()),
+        ("profile.json", report.to_json()),
+        ("flame.folded", report.collapsed_stacks()),
+        ("alloc.folded", report.alloc_collapsed_stacks()),
+        ("telemetry.prom", report.prometheus()),
+        ("telemetry.json", report.telemetry_json()),
+    ];
+    for (name, text) in views {
+        let path = dir.join(name);
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
+    Ok(())
 }
 
 /// `uniq analyze [OPTIONS]`: runs the whole-workspace static analyzer
@@ -124,8 +165,8 @@ pub fn analyze_cmd(args: &[String]) -> i32 {
     uniq_analyzer::cli::run_check(args, &usage)
 }
 
-/// `uniq trace report FILE`: rebuilds the causal span tree of a
-/// `--metrics-out` JSONL file and prints the critical path and per-stage
+/// `uniq trace report FILE`: rebuilds the causal span tree of a recorded
+/// `trace.jsonl` file and prints the critical path and per-stage
 /// self-time table. Exit 0 = complete tree, 1 = orphaned spans or an
 /// unreadable trace, 2 = usage error.
 pub fn trace_cmd(args: &[String]) -> i32 {
@@ -242,7 +283,7 @@ pub fn store_cmd(args: &[String]) -> i32 {
          \x20 verify --store DIR\n\
          \x20 export --store DIR --key KEY --out FILE.uniqhrtf\n\
          \x20 import --store DIR --table FILE.uniqhrtf [--seed N]";
-    let parsed = match Args::parse(args, &["anechoic"]) {
+    let parsed = match Args::parse(args, store_flags) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -280,6 +321,19 @@ pub fn store_cmd(args: &[String]) -> i32 {
             1
         }
     }
+}
+
+/// The flags each store verb accepts.
+fn store_flags(verb: &str) -> FlagSet {
+    let (options, switches) = match verb {
+        "put" => ("store seed grid snr history", "anechoic"),
+        "get" => ("store key out table", ""),
+        "ls" | "verify" => ("store", ""),
+        "export" => ("store key out", ""),
+        "import" => ("store table seed", ""),
+        _ => ("", ""),
+    };
+    FlagSet { options, switches }
 }
 
 /// A store verb's failure, split by exit-code tier: bad invocation (2)
@@ -509,127 +563,6 @@ fn append_history(args: &Args, record: &LedgerRecord) -> Result<Option<String>, 
     Ok(Some(format!("ledger record appended to {path}")))
 }
 
-/// `uniq profile <command> …`: runs any subcommand under a
-/// [`ProfileSink`] and appends the per-stage latency table to the
-/// command's own output. `--profile-out FILE` additionally writes the
-/// machine-readable JSON report, `--flame-out FILE` the collapsed-stack
-/// lines (flamegraph input). Both files are written even when the
-/// profiled command fails — the profile of a failed run is evidence.
-///
-/// Profiling observes the exact same run the bare command would execute:
-/// the numeric output is bit-identical (asserted by the workspace
-/// `profiling` integration test).
-pub fn run_profile(args: &Args) -> Result<String, String> {
-    profile_with(args, dispatch)
-}
-
-/// `uniq profile faults <command> …`: the profiler wrapped around a
-/// faulted run — both layers compose, and the wrapped command's failure
-/// still propagates.
-pub fn run_profile_faults(args: &Args) -> Result<String, String> {
-    profile_with(args, dispatch_faulted)
-}
-
-fn profile_with(
-    args: &Args,
-    dispatch_fn: fn(&Args) -> Result<String, String>,
-) -> Result<String, String> {
-    let profile = Arc::new(ProfileSink::new());
-    let result = run_observed(args, Some(profile.clone()), dispatch_fn);
-    let report = profile.report();
-    if let Some(path) = args.get("profile-out") {
-        std::fs::write(Path::new(path), report.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = args.get("flame-out") {
-        std::fs::write(Path::new(path), report.collapsed_stacks())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    match result {
-        Ok(output) => Ok(format!("{output}\n\n{}", report.render_table())),
-        Err(e) => Err(e),
-    }
-}
-
-/// `uniq memprof [profile] [faults] <command> …`: runs the wrapped
-/// command under the counting allocator and appends the per-stage
-/// allocation table to its output. `--alloc-out FILE` writes the
-/// machine-readable snapshot JSON, `--alloc-flame-out FILE`
-/// bytes-weighted collapsed-stack lines (call paths when composed with
-/// `profile`, bare stage frames otherwise). Composes with every
-/// observability flag; when `profile` is in the stack the latency table
-/// grows allocs/alloc-bytes columns and `--profile-out` JSON an `alloc`
-/// section.
-pub fn run_memprof(args: &Args, profiled: bool, faulted: bool) -> Result<String, String> {
-    if !uniq_memprof::installed() {
-        return Err(
-            "memprof: the counting allocator is not installed in this binary (build the `uniq` \
-             binary, whose main.rs declares it as #[global_allocator])"
-                .to_string(),
-        );
-    }
-    let dispatch_fn: fn(&Args) -> Result<String, String> =
-        if faulted { dispatch_faulted } else { dispatch };
-    let profile = profiled.then(|| Arc::new(ProfileSink::new()));
-    // Stage attribution rides on the span stack, and spans are inert with
-    // no sink installed — so a memory-only run installs the no-op
-    // stage-tracking sink.
-    let extra: Arc<dyn Sink> = match &profile {
-        Some(sink) => sink.clone(),
-        None => Arc::new(uniq_memprof::StageTrackingSink),
-    };
-    let mut snap = uniq_memprof::AllocSnapshot::default();
-    let result = run_observed(args, Some(extra), |args| {
-        // Measure the dispatch only (sink assembly and report rendering
-        // stay out), and emit the summary while the sinks are still
-        // installed so telemetry exports carry the alloc aggregates.
-        let (result, measured) = uniq_memprof::measure(|| dispatch_fn(args));
-        measured.emit_obs_summary();
-        snap = measured;
-        result
-    });
-    if let Some(path) = args.get("alloc-out") {
-        std::fs::write(Path::new(path), snap.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    match &profile {
-        Some(sink) => {
-            let mut report = sink.report();
-            report.attach_alloc(snap);
-            if let Some(path) = args.get("alloc-flame-out") {
-                std::fs::write(Path::new(path), report.alloc_collapsed_stacks())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            if let Some(path) = args.get("profile-out") {
-                std::fs::write(Path::new(path), report.to_json())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            if let Some(path) = args.get("flame-out") {
-                std::fs::write(Path::new(path), report.collapsed_stacks())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            result.map(|output| format!("{output}\n\n{}", report.render_table()))
-        }
-        None => {
-            if let Some(path) = args.get("alloc-flame-out") {
-                // No profiler, no call paths: one frame per stage.
-                let mut lines = String::new();
-                for (stage, alloc) in &snap.stages {
-                    if alloc.bytes > 0 {
-                        lines.push_str(&format!("{stage} {}\n", alloc.bytes));
-                    }
-                }
-                if snap.unattributed.bytes > 0 {
-                    lines.push_str(&format!("(unattributed) {}\n", snap.unattributed.bytes));
-                }
-                std::fs::write(Path::new(path), lines)
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            result.map(|output| format!("{output}\n\n{}", snap.render_table()))
-        }
-    }
-}
-
 fn dispatch(args: &Args) -> Result<String, String> {
     match args.command.as_str() {
         "personalize" => personalize_cmd(args),
@@ -733,7 +666,7 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
 
 /// `uniq loadgen`: the deterministic closed-loop load harness. Drives a
 /// live server with a seeded subject population and prints throughput
-/// plus the p50/p99 request-latency table from `uniq-profile`.
+/// plus the p50/p99 request-latency table from its recorder.
 fn loadgen_cmd(args: &Args) -> Result<String, String> {
     let parse_opt_f64 = |key: &str| -> Result<Option<f64>, String> {
         args.get(key)
@@ -946,38 +879,22 @@ pub fn usage() -> String {
      \x20     hot-path-allocation lints (exit 1 on findings)\n\
      \n\
      observability (any command):\n\
-     \x20 --trace              live span tree on stderr + end-of-run stage summary\n\
-     \x20 --metrics-out FILE   write spans/metrics/counters as JSON lines\n\
-     \x20 --telemetry-out FILE write the aggregated registry as Prometheus text\n\
-     \x20 --telemetry-json FILE write the aggregated registry as a JSON snapshot\n\
+     \x20 --trace              live span tree on stderr + the recorded per-stage table\n\
+     \x20 --record DIR         write every recorded view into DIR: trace.jsonl (event\n\
+     \x20     log), report.txt (per-stage table), profile.json, flame.folded,\n\
+     \x20     alloc.folded (allocation profile, bytes-weighted),\n\
+     \x20     telemetry.prom (Prometheus text), telemetry.json\n\
+     \x20 --history PATH       (personalize/batch/serve/loadgen/faults) append a run\n\
+     \x20     record to the ledger (PATH `default` = bench_results/history.jsonl)\n\
      \n\
      telemetry:\n\
      \x20 trace report FILE\n\
-     \x20     rebuild the causal span tree of a --metrics-out file; print the\n\
+     \x20     rebuild the causal span tree of a recorded trace.jsonl; print the\n\
      \x20     critical path and per-stage self time (exit 1 on orphaned spans)\n\
      \x20 history trend|compare FILE [--quality-tol X] [--latency-tol X]\n\
      \x20     gate the newest run ledger record against its history (trend:\n\
      \x20     median/MAD drift; compare: last two records); exit 0 ok,\n\
      \x20     1 latency warning, 2 quality regression\n\
-     \x20 --history PATH       (personalize/batch/faults) append a run record to\n\
-     \x20     the ledger (PATH `default` = bench_results/history.jsonl)\n\
-     \n\
-     profiling:\n\
-     \x20 profile <command> [args...] [--profile-out FILE] [--flame-out FILE]\n\
-     \x20     run any command under the profiler; prints a per-stage latency\n\
-     \x20     table (count/total/p50/p90/p99/max, per-thread attribution) and\n\
-     \x20     optionally writes JSON (--profile-out) and collapsed-stack\n\
-     \x20     flamegraph lines (--flame-out)\n\
-     \n\
-     memory profiling:\n\
-     \x20 memprof <command> [args...] [--alloc-out FILE] [--alloc-flame-out FILE]\n\
-     \x20     run any command under the counting allocator; prints a per-stage\n\
-     \x20     allocation table (allocs/bytes/frees/peak-live/largest, attributed\n\
-     \x20     to the active span) and optionally writes the snapshot JSON\n\
-     \x20     (--alloc-out) and bytes-weighted collapsed-stack lines\n\
-     \x20     (--alloc-flame-out); composes with profile and faults: `uniq\n\
-     \x20     memprof profile personalize …` adds alloc columns to the latency\n\
-     \x20     table and an alloc section to --profile-out JSON\n\
      \n\
      fault injection:\n\
      \x20 faults personalize --fault-plan SPEC [--fault-seed N] [--fault-retries R]\n\
@@ -988,7 +905,9 @@ pub fn usage() -> String {
      \x20     SPEC: comma-separated name[:param[:param]][@stop][~], e.g.\n\
      \x20     \"drop@2,snr:-12@4,clip:0.35\" — classes: drop truncate clip snr\n\
      \x20     gyro-dropout gyro-sat jitter dup reorder; trailing ~ = transient\n\
-     \x20     (heals on retry); composes with profile: uniq profile faults …\n"
+     \x20     (heals on retry)\n\
+     \n\
+     Unknown or repeated flags are usage errors (exit 2).\n"
         .to_string()
 }
 
@@ -1285,14 +1204,23 @@ mod tests {
     use crate::args::Args;
 
     /// The lib-test binary installs the counting allocator itself (the
-    /// `uniq` binary does this in its main.rs) so the memprof wrapper is
-    /// testable through the public entry points.
+    /// `uniq` binary does this in its main.rs) so `--record`'s allocation
+    /// profile is testable through the public entry points.
     #[global_allocator]
     static ALLOC: uniq_memprof::CountingAllocator = uniq_memprof::CountingAllocator::new();
 
-    fn argv(s: &str) -> Args {
+    fn parse(s: &str, faulted: bool) -> Args {
         let raw: Vec<String> = s.split_whitespace().map(String::from).collect();
-        Args::parse(&raw, &["anechoic", "near", "trace", "no-skip"]).unwrap()
+        Args::parse(&raw, |command| flags(command, faulted)).unwrap()
+    }
+
+    fn argv(s: &str) -> Args {
+        parse(s, false)
+    }
+
+    /// Arguments of a command under the `faults` wrapper.
+    fn fargv(s: &str) -> Args {
+        parse(s, true)
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -1388,163 +1316,27 @@ mod tests {
     }
 
     #[test]
-    fn profile_wraps_personalize_and_exports() {
-        let table = temp_path("prof.uniqhrtf");
-        let json = temp_path("prof.json");
-        let flame = temp_path("prof.folded");
-        let out = run_profile(&argv(&format!(
-            "personalize --seed 6 --out {} --anechoic --grid 15 --profile-out {} --flame-out {}",
-            table.display(),
-            json.display(),
-            flame.display()
-        )))
-        .expect("profiled personalize");
-        assert!(out.contains("table written"), "command output lost: {out}");
-        assert!(out.contains("per-stage wall clock:"), "no table: {out}");
-        for col in ["count", "p50", "p90", "p99", "threads:"] {
-            assert!(out.contains(col), "missing {col:?} in:\n{out}");
-        }
-
-        // The JSON export parses with our own reader and covers every
-        // pipeline stage.
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-        let stages: Vec<&str> = doc
-            .get("stages")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s.get("name").unwrap().as_str().unwrap())
-            .collect();
-        for required in uniq_obs::names::PIPELINE_STAGES {
-            assert!(
-                stages.contains(required),
-                "stage {required} missing: {stages:?}"
-            );
-        }
-
-        // Collapsed-stack lines: `span;child;leaf self_nanos`.
-        let folded = std::fs::read_to_string(&flame).unwrap();
-        assert!(!folded.is_empty());
-        for line in folded.lines() {
-            let (path, value) = line.rsplit_once(' ').expect("line has no value");
-            assert!(
-                path.split(';').all(|seg| !seg.is_empty()),
-                "bad path {path:?}"
-            );
-            value.parse::<u64>().expect("self time not an integer");
-        }
-        assert!(
-            folded.lines().any(|l| l.starts_with("personalize;")),
-            "no nested path under personalize:\n{folded}"
-        );
-
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&json).ok();
-        std::fs::remove_file(&flame).ok();
-    }
-
-    #[test]
-    fn memprof_wraps_personalize_and_exports() {
-        let table = temp_path("mp.uniqhrtf");
-        let json = temp_path("mp_alloc.json");
-        let folded = temp_path("mp_alloc.folded");
-        let out = run_memprof(
-            &argv(&format!(
-                "personalize --seed 6 --out {} --anechoic --grid 15 --alloc-out {} \
-                 --alloc-flame-out {}",
-                table.display(),
-                json.display(),
-                folded.display()
-            )),
-            false,
-            false,
-        )
-        .expect("memprofed personalize");
-        assert!(out.contains("table written"), "command output lost: {out}");
-        assert!(out.contains("per-stage allocations:"), "no table: {out}");
-        assert!(out.contains("fusion"), "hot stage missing: {out}");
-
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-        assert!(doc.get("stages").is_some(), "alloc JSON has no stages");
-        assert_eq!(
-            doc.get("schema_version").and_then(|v| v.as_u64()),
-            Some(uniq_memprof::ALLOC_SCHEMA_VERSION)
-        );
-
-        // Flame lines are `frame[;frame]* bytes` with positive weights.
-        let lines = std::fs::read_to_string(&folded).unwrap();
-        assert!(!lines.is_empty());
-        for line in lines.lines() {
-            let (_, value) = line.rsplit_once(' ').expect("line has no value");
-            assert!(
-                value.parse::<u64>().unwrap() > 0,
-                "zero-weight line {line:?}"
-            );
-        }
-
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&json).ok();
-        std::fs::remove_file(&folded).ok();
-    }
-
-    #[test]
-    fn memprof_composes_with_profile() {
-        let table = temp_path("mpp.uniqhrtf");
-        let json = temp_path("mpp_prof.json");
-        let out = run_memprof(
-            &argv(&format!(
-                "personalize --seed 6 --out {} --anechoic --grid 15 --profile-out {}",
-                table.display(),
-                json.display()
-            )),
-            true,
-            false,
-        )
-        .expect("memprof profile personalize");
-        // Both tables, and the latency table grew the alloc columns.
-        assert!(
-            out.contains("per-stage wall clock:"),
-            "no latency table: {out}"
-        );
-        assert!(out.contains("alloc-b"), "no alloc columns: {out}");
-        assert!(
-            out.contains("per-stage allocations:"),
-            "no alloc table: {out}"
-        );
-
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-        let alloc = doc.get("alloc").expect("profile JSON has no alloc section");
-        assert!(alloc.get("stages").is_some());
-
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&json).ok();
-    }
-
-    #[test]
-    fn profile_of_failed_command_still_writes_report() {
-        let json = temp_path("prof_fail.json");
-        // personalize without --out fails; the profile file must exist
-        // and parse anyway.
-        let err = run_profile(&argv(&format!(
-            "personalize --seed 6 --profile-out {}",
-            json.display()
+    fn record_of_failed_command_still_writes_views() {
+        let dir = temp_path("rec_fail");
+        let _ = std::fs::remove_dir_all(&dir);
+        // personalize without --out fails; the views must exist and parse
+        // anyway.
+        let err = run(&argv(&format!(
+            "personalize --seed 6 --record {}",
+            dir.display()
         )))
         .unwrap_err();
         assert!(err.contains("out"), "unexpected error: {err}");
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let text = std::fs::read_to_string(dir.join("profile.json")).unwrap();
+        let doc = uniq_obs::json::Json::parse(&text).unwrap();
         assert!(doc.get("schema_version").is_some());
-        std::fs::remove_file(&json).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn faulted_personalize_reports_degradation() {
         let report = temp_path("deg.json");
-        let out = run_faults(&argv(&format!(
+        let out = run_faults(&fargv(&format!(
             "personalize --seed 6 --anechoic --grid 15 --snr 45 \
              --fault-plan drop@2 --fault-report {}",
             report.display()
@@ -1560,13 +1352,13 @@ mod tests {
 
     #[test]
     fn faults_wraps_personalize_only() {
-        let err = run_faults(&argv("info --table /tmp/x.uniqhrtf")).unwrap_err();
+        let err = run_faults(&fargv("info --table /tmp/x.uniqhrtf")).unwrap_err();
         assert!(err.contains("wraps personalize only"), "{err}");
     }
 
     #[test]
     fn bad_fault_plan_reported() {
-        let err = run_faults(&argv(
+        let err = run_faults(&fargv(
             "personalize --seed 6 --anechoic --grid 15 --fault-plan warp@2",
         ))
         .unwrap_err();
@@ -1575,61 +1367,26 @@ mod tests {
 
     #[test]
     fn exit_code_propagates_wrapped_failures() {
-        // The fix under test: a failing command wrapped by `faults` (or
-        // `profile faults`) must map to a nonzero exit status, never 0.
+        // The fix under test: a failing command wrapped by `faults` (also
+        // when recorded) must map to a nonzero exit status, never 0.
         assert_eq!(exit_code(&Ok::<_, String>("fine".to_string())), 0);
-        let failing = run_faults(&argv("personalize --seed 6 --anechoic --fault-plan warp@2"));
+        let failing = run_faults(&fargv(
+            "personalize --seed 6 --anechoic --fault-plan warp@2",
+        ));
         assert_eq!(exit_code(&failing), 1);
-        let missing_plan = run_faults(&argv("personalize --seed 6 --anechoic"));
+        let missing_plan = run_faults(&fargv("personalize --seed 6 --anechoic"));
         assert_eq!(exit_code(&missing_plan), 1);
-        let profiled =
-            run_profile_faults(&argv("personalize --seed 6 --anechoic --fault-plan warp@2"));
-        assert_eq!(exit_code(&profiled), 1);
+        let dir = temp_path("rec_faults_fail");
+        let recorded = run_faults(&fargv(&format!(
+            "personalize --seed 6 --anechoic --fault-plan warp@2 --record {}",
+            dir.display()
+        )));
+        assert_eq!(exit_code(&recorded), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn metrics_out_writes_jsonl_events() {
-        let table = temp_path("obs.uniqhrtf");
-        let metrics = temp_path("obs.jsonl");
-        let out = run(&argv(&format!(
-            "personalize --seed 6 --out {} --anechoic --grid 15 --metrics-out {}",
-            table.display(),
-            metrics.display()
-        )))
-        .expect("personalize with metrics");
-        assert!(out.contains("table written"));
-
-        let content = std::fs::read_to_string(&metrics).unwrap();
-        assert!(content.contains("\"event\":\"span_start\""));
-        assert!(content.contains("\"name\":\"personalize\""));
-        assert!(content.contains("\"name\":\"fusion.mean_residual_deg\""));
-        assert!(content.contains("\"name\":\"personalize.radius_m\""));
-        // Every line is a JSON object.
-        for line in content.lines() {
-            assert!(
-                line.starts_with('{') && line.ends_with('}'),
-                "bad line {line}"
-            );
-        }
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&metrics).ok();
-    }
-
-    #[test]
-    fn trace_report_round_trip() {
-        let table = temp_path("trace_rt.uniqhrtf");
-        let metrics = temp_path("trace_rt.jsonl");
-        run(&argv(&format!(
-            "personalize --seed 6 --out {} --anechoic --grid 15 --metrics-out {}",
-            table.display(),
-            metrics.display()
-        )))
-        .expect("personalize with metrics");
-
-        // The emitted trace reconstructs with no orphans (exit 0).
-        let code = trace_cmd(&["report".to_string(), metrics.display().to_string()]);
-        assert_eq!(code, 0, "trace report found orphans or failed to parse");
-
+    fn trace_report_usage_errors_exit_2() {
         // Usage errors are distinguishable from findings.
         assert_eq!(trace_cmd(&[]), 2);
         assert_eq!(trace_cmd(&["report".to_string()]), 2);
@@ -1637,37 +1394,6 @@ mod tests {
             trace_cmd(&["report".to_string(), "/nonexistent/t.jsonl".to_string()]),
             2
         );
-
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&metrics).ok();
-    }
-
-    #[test]
-    fn telemetry_out_writes_registry_exports() {
-        let table = temp_path("telem.uniqhrtf");
-        let prom = temp_path("telem.prom");
-        let json = temp_path("telem.json");
-        run(&argv(&format!(
-            "personalize --seed 6 --out {} --anechoic --grid 15 \
-             --telemetry-out {} --telemetry-json {}",
-            table.display(),
-            prom.display(),
-            json.display()
-        )))
-        .expect("personalize with telemetry");
-
-        let text = std::fs::read_to_string(&prom).unwrap();
-        assert!(text.contains("uniq_personalize_ns_count"), "{text}");
-        assert!(text.contains("uniq_obs_telemetry_overhead_ns"), "{text}");
-
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-        assert!(doc.get("spans").unwrap().get("personalize").is_some());
-        assert!(doc.get("overhead_ns").is_some());
-
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&prom).ok();
-        std::fs::remove_file(&json).ok();
     }
 
     fn store_argv(s: &str) -> Vec<String> {
@@ -1808,7 +1534,7 @@ mod tests {
 
         // Inject a >2% quality drift into a third record: trend flags it.
         let text = std::fs::read_to_string(&history).unwrap();
-        let last = uniq_profile::json::Json::parse(text.lines().last().unwrap()).unwrap();
+        let last = uniq_obs::json::Json::parse(text.lines().last().unwrap()).unwrap();
         let mut rec = uniq_telemetry::ledger::LedgerRecord::from_json(&last).unwrap();
         if let Some(v) = rec.quality.get_mut("localization_median_deg") {
             *v *= 1.10;

@@ -73,40 +73,7 @@ pub fn personalize_batch(
 /// behind every determinism fingerprint in the workspace. Exposed so
 /// other layers (e.g. the artifact store) can reproduce a result's
 /// fingerprint from serialized fields and prove bit-exact round trips.
-#[derive(Debug, Clone)]
-pub struct FingerprintBuilder {
-    h: u64,
-}
-
-impl FingerprintBuilder {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh digest at the FNV offset basis.
-    pub fn new() -> FingerprintBuilder {
-        FingerprintBuilder {
-            h: Self::FNV_OFFSET,
-        }
-    }
-
-    /// Folds one 64-bit word, byte by byte, little-endian.
-    pub fn eat(&mut self, bits: u64) {
-        for byte in bits.to_le_bytes() {
-            self.h = (self.h ^ u64::from(byte)).wrapping_mul(Self::FNV_PRIME);
-        }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.h
-    }
-}
-
-impl Default for FingerprintBuilder {
-    fn default() -> Self {
-        FingerprintBuilder::new()
-    }
-}
+pub use uniq_obs::Fnv64 as FingerprintBuilder;
 
 /// Folds one successful personalization's numeric output into `fp`
 /// exactly as [`hrtf_fingerprint`] digests it: seed, radius bits,

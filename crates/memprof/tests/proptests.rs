@@ -1,11 +1,11 @@
-//! Property tests for the shard-merge algebra.
+//! Property tests for the stage-merge algebra.
 //!
-//! [`snapshot`](uniq_memprof::snapshot) folds the per-shard counters with
-//! [`StageAlloc::merged`]; the result is only well defined (independent of
-//! shard order and grouping) if that operation is a commutative monoid.
-//! These tests pin the algebra directly so a future field added to
-//! `StageAlloc` without a proper merge rule fails here, not as a flaky
-//! thread-invariance failure downstream.
+//! [`AllocSnapshot::total`](uniq_memprof::AllocSnapshot::total) folds the
+//! per-stage rows with [`StageAlloc::merged`]; the result is only well
+//! defined (independent of row order and grouping) if that operation is a
+//! commutative monoid. These tests pin the algebra directly so a future
+//! field added to `StageAlloc` without a proper merge rule fails here,
+//! not as a drifting total downstream.
 
 use proptest::prelude::*;
 use uniq_memprof::StageAlloc;
@@ -82,20 +82,19 @@ proptest! {
         prop_assert!(m.largest_bytes >= a.largest_bytes.max(b.largest_bytes));
     }
 
-    /// Folding the shard list from either end gives the same totals — the
-    /// exact shape `snapshot` relies on when the shard count changes.
+    /// Folding the row list from either end gives the same totals.
     #[test]
     fn fold_order_is_irrelevant(
         flows in prop::collection::vec((0..M, 0..M, 0..M, 0..M), 1..8),
         peak_list in prop::collection::vec((i64::MIN / 16..i64::MAX / 16, 0..M), 8),
     ) {
-        let shards: Vec<StageAlloc> = flows
+        let rows: Vec<StageAlloc> = flows
             .into_iter()
             .zip(peak_list)
             .map(|(f, p)| stage(f, p))
             .collect();
-        let left = shards.iter().fold(StageAlloc::default(), |acc, s| acc.merged(s));
-        let right = shards
+        let left = rows.iter().fold(StageAlloc::default(), |acc, s| acc.merged(s));
+        let right = rows
             .iter()
             .rev()
             .fold(StageAlloc::default(), |acc, s| s.merged(&acc));

@@ -3,11 +3,10 @@
 //! The workspace has no serde (no crates.io access), but several layers
 //! need to *read* JSON the workspace itself wrote: the baseline comparator
 //! (`BENCH_BASELINE.json` vs a fresh run), the CI smoke that validates
-//! `--profile-out` files, and the telemetry layer's trace-tree and
+//! recorded profile documents, and the telemetry layer's trace-tree and
 //! run-ledger readers. It lives in `uniq-obs` — the root of the
 //! observability dependency chain — so those consumers share one parser
-//! instead of growing parallel ad-hoc ones (`uniq-profile` re-exports it
-//! as `uniq_profile::json` for compatibility). This is a small
+//! instead of growing parallel ad-hoc ones. This is a small
 //! recursive-descent parser covering the full JSON grammar — objects,
 //! arrays, strings with escapes (including `\uXXXX` surrogate pairs),
 //! numbers, literals — with positions in error messages. It does not aim

@@ -14,11 +14,13 @@
 //!    sink for one closure on one thread ([`with_sink`]); long-lived
 //!    processes (the CLI) may install a process-wide default
 //!    ([`set_global_sink`]). The thread-local scope wins when both exist.
-//! 3. **Pluggable output.** Four sinks ship: [`sink::NoopSink`],
+//! 3. **Pluggable output.** Five sinks ship: [`sink::NoopSink`],
 //!    [`sink::StderrSink`] (indented live span tree), [`sink::JsonLinesSink`]
-//!    (machine-readable events), and [`sink::MemorySink`] (in-process
-//!    collector for assertions and end-of-run summaries). [`sink::MultiSink`]
-//!    fans out to several.
+//!    (machine-readable events), [`sink::MemorySink`] (in-process
+//!    collector for assertions), and [`Recorder`] — the one aggregating
+//!    sink, whose [`RecordReport`] renders every end-of-run view (stage
+//!    table, profile JSON, flamegraphs, Prometheus text).
+//!    [`sink::MultiSink`] fans out to several.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -38,11 +40,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alloc;
+pub mod hash;
+pub mod histogram;
 pub mod json;
 pub mod names;
-pub mod report;
+pub mod record;
 pub mod sink;
 
+pub use hash::Fnv64;
+pub use record::{RecordReport, Recorder};
 use sink::Sink;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -123,8 +130,10 @@ static ACTIVE_SINKS: AtomicUsize = AtomicUsize::new(0);
 static GLOBAL_SINK: OnceLock<Arc<dyn Sink>> = OnceLock::new();
 
 thread_local! {
-    /// Stack of scoped sinks on this thread; the innermost wins.
-    static SCOPED: RefCell<Vec<Arc<dyn Sink>>> = const { RefCell::new(Vec::new()) };
+    /// Stack of scoped sinks on this thread; the innermost wins. `None`
+    /// masks the outer scopes, leaving only the global sink (see
+    /// [`ObsContext::run`]).
+    static SCOPED: RefCell<Vec<Option<Arc<dyn Sink>>>> = const { RefCell::new(Vec::new()) };
     /// Current span nesting depth on this thread.
     static DEPTH: Cell<usize> = const { Cell::new(0) };
     /// Active trace id on this thread (0 = none).
@@ -140,6 +149,9 @@ thread_local! {
     /// Non-zero while allocation attribution is suspended on this thread
     /// (sink dispatch, pool bookkeeping): see [`suspend_alloc_stage`].
     static STAGE_SUSPENDED: Cell<usize> = const { Cell::new(0) };
+    /// This thread's index within its worker pool, when it is a pool
+    /// worker (see [`mark_pool_worker`]).
+    static POOL_WORKER: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// One frame of the id-derivation stack. `span` is the id reported as
@@ -153,21 +165,10 @@ struct IdFrame {
     next_child: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Domain separators so trace ids, lane keys and span ids drawn from the
 /// same seed never collide structurally.
 const TRACE_SALT: u64 = 0x7261_6365_2d69_6431; // "race-id1"
 const LANE_SALT: u64 = 0x6c61_6e65_2d69_6431; // "lane-id1"
-
-fn fnv1a(name: &str) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Fibonacci/SplitMix finalizer: a cheap, well-mixed 64-bit permutation.
 fn splitmix64(mut x: u64) -> u64 {
@@ -200,7 +201,7 @@ fn derive_lane_key(parent_key: u64, lane: u64) -> u64 {
 fn derive_span_id(parent_key: u64, name: &str, seq: u64) -> u64 {
     nonzero(mix(
         parent_key,
-        fnv1a(name).wrapping_add(seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        Fnv64::hash(name.as_bytes()).wrapping_add(seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
     ))
 }
 
@@ -294,6 +295,19 @@ impl Drop for TraceGuard {
     }
 }
 
+/// Marks the calling thread as worker `index` of a pool; worker pools call
+/// this once per thread at startup. The recorder attributes its
+/// per-thread rows by this index.
+pub fn mark_pool_worker(index: usize) {
+    POOL_WORKER.with(|w| w.set(Some(index)));
+}
+
+/// The calling thread's pool-worker index, `None` on any thread that is
+/// not a pool worker (including a caller helping run jobs while it waits).
+pub fn pool_worker() -> Option<usize> {
+    POOL_WORKER.with(|w| w.get())
+}
+
 /// Whether any sink could currently receive events. This is the cheap
 /// enabled-check instrumentation sites use before doing *any* other work;
 /// when it returns `false` the cost is one relaxed atomic load.
@@ -380,8 +394,10 @@ pub fn with_alloc_stage<T>(stage: Option<&'static str>, f: impl FnOnce() -> T) -
 }
 
 fn current_sink() -> Option<Arc<dyn Sink>> {
-    let scoped = SCOPED.with(|s| s.borrow().last().cloned());
-    scoped.or_else(|| GLOBAL_SINK.get().cloned())
+    match SCOPED.with(|s| s.borrow().last().cloned()) {
+        Some(Some(scoped)) => Some(scoped),
+        _ => GLOBAL_SINK.get().cloned(),
+    }
 }
 
 /// The sink events on this thread currently land in — the innermost
@@ -389,8 +405,8 @@ fn current_sink() -> Option<Arc<dyn Sink>> {
 /// installed. Lets a caller *compose* with the ambient sink (fan out to
 /// it and a private sink through [`sink::MultiSink`]) instead of a nested
 /// [`with_sink`] scope silently shadowing it — `uniq loadgen` uses this
-/// to feed its latency profiler without stealing events from `--trace`
-/// or `--metrics-out`.
+/// to feed its latency recorder without stealing events from `--trace`
+/// or `--record`.
 pub fn ambient_sink() -> Option<Arc<dyn Sink>> {
     current_sink()
 }
@@ -421,13 +437,22 @@ pub fn flush_global_sink() {
 /// previous state afterwards (exception safe). Scopes nest; the innermost
 /// sink receives the events.
 pub fn with_sink<T>(sink: Arc<dyn Sink>, f: impl FnOnce() -> T) -> T {
-    struct Guard;
+    scoped(Some(sink), f)
+}
+
+/// Pushes `sink` as this thread's innermost scope for the duration of
+/// `f`; `None` masks the outer scopes. Only real sinks count as active.
+fn scoped<T>(sink: Option<Arc<dyn Sink>>, f: impl FnOnce() -> T) -> T {
+    struct Guard(bool);
     impl Drop for Guard {
         fn drop(&mut self) {
             SCOPED.with(|s| s.borrow_mut().pop());
-            ACTIVE_SINKS.fetch_sub(1, Ordering::Relaxed);
+            if self.0 {
+                ACTIVE_SINKS.fetch_sub(1, Ordering::Relaxed);
+            }
         }
     }
+    let active = sink.is_some();
     {
         // The scoped-sink stack grows lazily per thread; which worker
         // first nests deep enough to trigger a growth is scheduling
@@ -435,8 +460,10 @@ pub fn with_sink<T>(sink: Arc<dyn Sink>, f: impl FnOnce() -> T) -> T {
         let _quiet = suspend_alloc_stage();
         SCOPED.with(|s| s.borrow_mut().push(sink));
     }
-    ACTIVE_SINKS.fetch_add(1, Ordering::Relaxed);
-    let _guard = Guard;
+    if active {
+        ACTIVE_SINKS.fetch_add(1, Ordering::Relaxed);
+    }
+    let _guard = Guard(active);
     f()
 }
 
@@ -513,8 +540,10 @@ pub fn capture() -> ObsContext {
 impl ObsContext {
     /// Runs `f` with this context's sink, span depth and causal position
     /// installed on the current thread, restoring the previous state
-    /// afterwards (exception safe). With no captured sink, `f` runs
-    /// unmodified.
+    /// afterwards (exception safe). With no captured sink, `f` runs with
+    /// no scoped sink — also on a thread that has one, such as a caller
+    /// helping with another run's pool jobs while it waits — so a job's
+    /// events never land in an unrelated scope.
     ///
     /// Spans `f` opens derive their ids from the captured position
     /// directly; in a parallel fan-out where several items run under one
@@ -536,7 +565,10 @@ impl ObsContext {
 
     fn run_with_key<T>(&self, key: u64, f: impl FnOnce() -> T) -> T {
         let Some(sink) = self.sink.clone() else {
-            return f();
+            if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
+                return f();
+            }
+            return scoped(None, f);
         };
         let depth = self.depth;
         let trace = self.trace;
@@ -807,6 +839,23 @@ mod tests {
     fn context_without_sink_is_transparent() {
         let ctx = capture();
         assert_eq!(ctx.run(|| 41 + 1), 42);
+    }
+
+    #[test]
+    fn context_without_sink_masks_the_running_threads_sink() {
+        // A job captured where nothing listened, run by a thread that has
+        // a sink of its own, stays silent.
+        let ctx = capture();
+        let sink = Arc::new(MemorySink::new());
+        with_sink(sink.clone(), || {
+            ctx.run_indexed(0, || {
+                assert!(!enabled());
+                counter("leaked", 1);
+            });
+            counter("own", 1);
+        });
+        assert_eq!(sink.counter_total("leaked"), 0);
+        assert_eq!(sink.counter_total("own"), 1);
     }
 
     #[test]

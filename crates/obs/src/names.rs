@@ -72,17 +72,17 @@ pub const RENDER_CROSSFADE_SAMPLES: &str = "render.crossfade_samples";
 /// Externalization proxy score of a rendered/reference comparison, `[0, 1]`.
 pub const RENDER_EXTERNALIZATION_PROXY: &str = "render.externalization_proxy";
 
-/// Nanoseconds the telemetry registry spent recording its own events —
-/// observability cost, itself observed (emitted at snapshot time by
-/// `uniq-telemetry`).
+/// Nanoseconds the recorder spent handling its own events —
+/// observability cost, itself observed (added at report time by
+/// [`Recorder`](crate::Recorder)).
 pub const OBS_TELEMETRY_OVERHEAD_NS: &str = "obs.telemetry_overhead_ns";
 
 // Allocation-profile names (`uniq-memprof`). The counters are sums over
 // *attributed* stages only, so their totals are a pure function of the
 // workload — bit-identical across runs and thread counts — and safe to
-// fold into the telemetry determinism key. The peak/unattributed metrics
-// are scheduling-dependent (see DESIGN.md §15) and are listed in
-// `uniq-telemetry`'s `TIMING_METRICS` so only their counts are keyed.
+// fold into the recorder's determinism key. The peak/unattributed metrics
+// are scheduling-dependent (see DESIGN.md §10) and are listed in the
+// recorder's `TIMING_METRICS` so only their counts are keyed.
 
 /// Heap allocations attributed to pipeline stages during a profiled run
 /// (counter; deterministic).
@@ -106,7 +106,7 @@ pub const ALLOC_UNATTRIBUTED_BYTES: &str = "alloc.unattributed_bytes";
 // functions of the request stream (how many arrived, hit the cache, were
 // shed, failed), so the serve baseline section and the backpressure test
 // gate on them exactly; the request-seconds metric is wall clock and
-// lives in `uniq-telemetry`'s `TIMING_METRICS` (counts keyed, values
+// lives in the recorder's `TIMING_METRICS` (counts keyed, values
 // not).
 
 /// Personalize requests accepted off the wire (counter; excludes
@@ -179,8 +179,7 @@ pub const ALL_METRICS: &[&str] = &[
     STORE_ENTRIES,
 ];
 
-// Span names. Spans are the unit the profiling layer (`uniq-profile`)
-// aggregates over, so their names are registered here exactly like
+// Span names. Spans are the unit the recorder aggregates over, so their names are registered here exactly like
 // metric names: the baseline comparator and the `verify-profile` CI
 // smoke both key on them, and a renamed stage must be a compile error
 // on both sides.
@@ -220,8 +219,8 @@ pub const SPAN_STORE_PUT: &str = "store.put";
 pub const SPAN_STORE_GET: &str = "store.get";
 /// A full deep-verification sweep over the store.
 pub const SPAN_STORE_VERIFY: &str = "store.verify";
-/// Snapshot + summary emission of the allocation profiler (`uniq memprof`
-/// wrapper, after the wrapped command returns).
+/// Snapshot + summary emission of the allocation profiler (`--record`,
+/// after the recorded command returns).
 pub const SPAN_ALLOC_SNAPSHOT: &str = "alloc.snapshot";
 /// One request processed by a personalization-server shard worker
 /// (cache lookup or full pipeline run; wraps `personalize` on a miss).

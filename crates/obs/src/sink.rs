@@ -109,7 +109,7 @@ impl Sink for StderrSink {
 ///
 /// Writes are buffered (a per-event flush would syscall on every span of
 /// a hot pipeline) and pushed to disk on [`Sink::flush`] and on drop, so
-/// a `--metrics-out` file is complete — whole lines only, no truncated
+/// a recorded `trace.jsonl` is complete — whole lines only, no truncated
 /// tail — even when the observed run ends in an error.
 #[derive(Debug)]
 pub struct JsonLinesSink {

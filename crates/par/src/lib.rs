@@ -81,19 +81,6 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// Identity of the calling thread within uniq-par: `Some((pool_id,
-/// worker_index))` when called from a pool worker thread, `None` for any
-/// other thread (including a caller that is *helping* run jobs while it
-/// waits on a scope — helping happens on the caller's own thread).
-///
-/// This is the thread-attribution hook for observability: a profiling
-/// sink calls it while handling a span event (sinks run on the emitting
-/// thread) to tag the sample with the worker that produced it, making
-/// pool imbalance visible without threading IDs through every event.
-pub fn current_worker() -> Option<(usize, usize)> {
-    pool::current_worker_identity()
-}
-
 /// Returns the shared pool of the requested size, creating it on first
 /// use. `threads == 0` means "default" (see [`default_threads`]). Pools
 /// are cached per size and live for the rest of the process, so hot paths
@@ -154,17 +141,16 @@ mod tests {
     }
 
     #[test]
-    fn current_worker_identifies_pool_threads() {
+    fn workers_mark_their_index_for_observability() {
         // The calling thread is not a worker.
-        assert_eq!(current_worker(), None);
-        // In a pool of 4 over enough slow-ish items, at least one chunk
-        // runs on a spawned worker (index < threads - 1); chunks that the
-        // helping caller ran report None.
+        assert_eq!(uniq_obs::pool_worker(), None);
+        // Chunks run on a spawned worker report its index (< threads - 1);
+        // chunks the helping caller ran report None.
         let p = pool(4);
         let items: Vec<u64> = (0..64).collect();
-        let ids = p.par_map_chunked(&items, 1, |_| current_worker());
+        let ids = p.par_map_chunked(&items, 1, |_| uniq_obs::pool_worker());
         for id in ids.iter().flatten() {
-            assert!(id.1 < p.threads() - 1, "worker index out of range: {id:?}");
+            assert!(*id < p.threads() - 1, "worker index out of range: {id}");
         }
     }
 }

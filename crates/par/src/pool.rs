@@ -22,12 +22,6 @@ thread_local! {
         const { std::cell::Cell::new(None) };
 }
 
-/// `(pool id, worker index)` of the calling thread when it is a pool
-/// worker, `None` otherwise (see [`crate::current_worker`]).
-pub(crate) fn current_worker_identity() -> Option<(usize, usize)> {
-    WORKER.with(|w| w.get())
-}
-
 /// Wakes sleeping workers; the generation counter prevents lost wakeups
 /// (a worker only sleeps if the generation is unchanged since it last
 /// searched every queue and found nothing).
@@ -358,6 +352,7 @@ impl Drop for ThreadPool {
 
 fn worker_loop(shared: Arc<Shared>, pool_id: usize, index: usize) {
     WORKER.with(|w| w.set(Some((pool_id, index))));
+    uniq_obs::mark_pool_worker(index);
     loop {
         // Snapshot the wakeup generation *before* searching, so a push
         // that races with the search bumps the generation and the sleep

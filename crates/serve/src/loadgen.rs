@@ -13,8 +13,8 @@
 //!
 //! Latency is measured by wrapping every request in a
 //! [`SPAN_LOADGEN_REQUEST`](uniq_obs::names::SPAN_LOADGEN_REQUEST) span
-//! under a [`uniq_profile::ProfileSink`]; throughput and p50/p99 come
-//! from its report. The profiler *composes* with the ambient sink
+//! under a [`uniq_obs::Recorder`]; throughput and p50/p99 come from its
+//! report. The recorder *composes* with the ambient sink
 //! ([`uniq_obs::ambient_sink`]) instead of shadowing it, so `--trace`
 //! and the observability audit still see loadgen spans.
 
@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use uniq_obs::names::SPAN_LOADGEN_REQUEST;
 use uniq_obs::sink::{MultiSink, Sink};
-use uniq_profile::{ProfileReport, ProfileSink};
+use uniq_obs::{RecordReport, Recorder};
 
 use crate::error::ServeError;
 use crate::protocol::{self, Response};
@@ -102,7 +102,7 @@ pub struct LoadgenReport {
     /// seed → result fingerprint of every `ok` response.
     pub fingerprints: BTreeMap<u64, u64>,
     /// The full latency profile (the `loadgen.request` stage).
-    pub profile: ProfileReport,
+    pub profile: RecordReport,
 }
 
 #[derive(Default)]
@@ -228,7 +228,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
             detail: "subjects must be >= 1".into(),
         });
     }
-    let profile = Arc::new(ProfileSink::new());
+    let profile = Arc::new(Recorder::new());
     let mut sinks: Vec<Arc<dyn Sink>> = Vec::new();
     if let Some(ambient) = uniq_obs::ambient_sink() {
         sinks.push(ambient);

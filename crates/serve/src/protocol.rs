@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 
 use uniq_obs::json::Json;
 use uniq_obs::sink::{json_escape, json_number};
+use uniq_obs::Fnv64;
 
 use crate::error::ServeError;
 
@@ -36,21 +37,15 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// the body limit beneath the line limit.
 pub const MAX_STRING_BYTES: usize = 1024;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// The subject fingerprint of a request: FNV-1a over the seed's little-
 /// endian bytes. This is the *identity* hash requests are sharded by —
 /// a pure function of the request, stable across runs and platforms
 /// (the result fingerprint, by contrast, exists only after a pipeline
 /// run).
 pub fn subject_key(seed: u64) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in seed.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.eat(seed);
+    h.finish()
 }
 
 /// A parsed request.
@@ -513,14 +508,12 @@ pub fn parse_response(line: &str) -> Result<Response, ServeError> {
 /// whole served population, used by the serve baseline gate and ledger
 /// records.
 pub fn fold_fingerprints(fingerprints: &BTreeMap<u64, u64>) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     for (seed, fp) in fingerprints {
-        for b in seed.to_le_bytes().into_iter().chain(fp.to_le_bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h.eat(*seed);
+        h.eat(*fp);
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -94,21 +94,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// FNV-1a 64-bit hash of a byte string — the content-addressing hash
-/// (same constants as the workspace's result fingerprints).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The content key of an encoded artifact: its [`fnv64`] hash as 16
+/// The content key of an encoded artifact: its FNV-1a 64 hash as 16
 /// lowercase hex digits. Blobs are filed under this key, so equal bytes
 /// always deduplicate.
 pub fn content_key(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv64(bytes))
+    format!("{:016x}", uniq_obs::Fnv64::hash(bytes))
 }
 
 /// One ear-pair grid: measurement angles plus a left/right impulse
@@ -700,7 +690,7 @@ mod tests {
         let bytes = encode(&tiny_artifact()).unwrap();
         let key = content_key(&bytes);
         assert_eq!(key.len(), 16);
-        assert_eq!(key, format!("{:016x}", fnv64(&bytes)));
+        assert_eq!(key, format!("{:016x}", uniq_obs::Fnv64::hash(&bytes)));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! count.
 
 use crate::error::StoreError;
-use crate::format::{content_key, decode, encode, fnv64, HrtfArtifact};
+use crate::format::{content_key, decode, encode, HrtfArtifact};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -351,7 +351,7 @@ impl Store {
     pub fn fingerprint(&self) -> u64 {
         let mut fp = FingerprintBuilder::new();
         for entry in self.lock().entries.values() {
-            fp.eat(fnv64(entry.key.as_bytes()));
+            fp.eat(uniq_obs::Fnv64::hash(entry.key.as_bytes()));
             fp.eat(entry.subject_fingerprint);
             fp.eat(entry.config_hash);
             fp.eat(entry.seed);

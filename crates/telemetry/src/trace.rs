@@ -1,4 +1,4 @@
-//! Causal trace reconstruction: turns a `--metrics-out` JSONL file back
+//! Causal trace reconstruction: turns a recorded `trace.jsonl` file back
 //! into the span tree and reports where the time went.
 //!
 //! Files written by the current `JsonLinesSink` carry deterministic
@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 use uniq_obs::json::Json;
-use uniq_obs::sink::JSONL_SCHEMA_VERSION;
+use uniq_obs::sink::{human_duration, JSONL_SCHEMA_VERSION};
 
 /// One reconstructed span.
 #[derive(Debug, Clone)]
@@ -53,11 +53,11 @@ fn hex_id(doc: &Json, key: &str) -> Option<u64> {
 /// on malformed JSON or an unknown schema version.
 pub fn parse_trace(text: &str) -> Result<TraceTree, String> {
     let mut nodes: Vec<TraceNode> = Vec::new();
-    // span id → node index, for id-carrying files.
+    // span id → node index.
     let mut by_id: BTreeMap<u64, usize> = BTreeMap::new();
-    // Open-node stack for the legacy depth fallback.
-    let mut stack: Vec<usize> = Vec::new();
-    let mut legacy_next_id: u64 = 1;
+    // Open span ids, for the legacy depth fallback.
+    let mut stack: Vec<u64> = Vec::new();
+    let mut legacy_next_id: u64 = 0;
 
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -78,78 +78,55 @@ pub fn parse_trace(text: &str) -> Result<TraceTree, String> {
                     ));
                 }
             }
-            "span_start" => {
-                let name = doc
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("line {}: span_start without name", lineno + 1))?
-                    .to_string();
-                match hex_id(&doc, "span") {
-                    Some(span) => {
-                        let node = TraceNode {
-                            name,
-                            span,
-                            parent: hex_id(&doc, "parent").unwrap_or(0),
-                            trace: hex_id(&doc, "trace").unwrap_or(0),
-                            nanos: 0,
-                            children: Vec::new(),
-                        };
-                        by_id.insert(span, nodes.len());
-                        nodes.push(node);
-                    }
-                    None => {
-                        // Legacy: parent is whatever is open on the stack.
-                        let span = legacy_next_id;
-                        legacy_next_id += 1;
-                        let parent = stack.last().map(|&i| nodes[i].span).unwrap_or(0);
-                        stack.push(nodes.len());
-                        by_id.insert(span, nodes.len());
-                        nodes.push(TraceNode {
-                            name,
-                            span,
-                            parent,
-                            trace: 0,
-                            nanos: 0,
-                            children: Vec::new(),
-                        });
-                    }
+            "span_start" | "span_end" => {
+                let start = event == "span_start";
+                let name = doc.get("name").and_then(Json::as_str);
+                if start && name.is_none() {
+                    return Err(format!("line {}: span_start without name", lineno + 1));
                 }
-            }
-            "span_end" => {
                 let nanos = doc
                     .get("nanos")
                     .and_then(Json::as_u64)
                     .map(u128::from)
                     .unwrap_or(0);
-                match hex_id(&doc, "span") {
-                    Some(span) => {
-                        if let Some(&idx) = by_id.get(&span) {
-                            nodes[idx].nanos = nanos;
-                        }
-                        // An end without a start is tolerated: a sink may
-                        // attach mid-span. Synthesize the node so its time
-                        // still shows up.
-                        else {
-                            by_id.insert(span, nodes.len());
-                            nodes.push(TraceNode {
-                                name: doc
-                                    .get("name")
-                                    .and_then(Json::as_str)
-                                    .unwrap_or("?")
-                                    .to_string(),
-                                span,
-                                parent: hex_id(&doc, "parent").unwrap_or(0),
-                                trace: hex_id(&doc, "trace").unwrap_or(0),
-                                nanos,
-                                children: Vec::new(),
-                            });
-                        }
+                let (span, parent, trace) = match hex_id(&doc, "span") {
+                    Some(span) => (
+                        span,
+                        hex_id(&doc, "parent").unwrap_or(0),
+                        hex_id(&doc, "trace").unwrap_or(0),
+                    ),
+                    // Legacy start: the parent is whatever is open on the
+                    // stack.
+                    None if start => {
+                        legacy_next_id += 1;
+                        let parent = stack.last().copied().unwrap_or(0);
+                        stack.push(legacy_next_id);
+                        (legacy_next_id, parent, 0)
                     }
+                    // Legacy end: closes the innermost open span.
                     None => {
-                        // Legacy: close the innermost open span.
-                        if let Some(idx) = stack.pop() {
+                        if let Some(&idx) = stack.pop().and_then(|span| by_id.get(&span)) {
                             nodes[idx].nanos = nanos;
                         }
+                        continue;
+                    }
+                };
+                match by_id.get(&span) {
+                    Some(&idx) if !start => nodes[idx].nanos = nanos,
+                    Some(_) => {}
+                    // A start, or an end without a start (a sink may attach
+                    // mid-span): either way the span gets its node, in any
+                    // line order.
+                    None => {
+                        by_id.insert(span, nodes.len());
+                        nodes.push(TraceNode {
+                            name: name.unwrap_or("?").to_string(),
+                            span,
+                            parent,
+                            trace,
+                            nanos,
+                            children: Vec::new(),
+                        });
                     }
                 }
             }
@@ -248,7 +225,7 @@ impl TraceTree {
             out.push_str(&format!(
                 "  {:indent$}{name}  {}  ({:.0}%)\n",
                 "",
-                fmt_nanos(*nanos),
+                human_duration(*nanos),
                 100.0 * *nanos as f64 / path_total as f64,
                 indent = depth * 2,
             ));
@@ -263,8 +240,8 @@ impl TraceTree {
         for (name, (count, total, self_ns)) in rows {
             out.push_str(&format!(
                 "  {name:<24} {count:>7} {:>12} {:>12}\n",
-                fmt_nanos(total),
-                fmt_nanos(self_ns),
+                human_duration(total),
+                human_duration(self_ns),
             ));
         }
         if !self.orphans.is_empty() {
@@ -278,19 +255,6 @@ impl TraceTree {
             }
         }
         out
-    }
-}
-
-fn fmt_nanos(nanos: u128) -> String {
-    let secs = nanos as f64 / 1e9;
-    if secs >= 1.0 {
-        format!("{secs:.2}s")
-    } else if secs >= 1e-3 {
-        format!("{:.1}ms", secs * 1e3)
-    } else if secs >= 1e-6 {
-        format!("{:.1}µs", secs * 1e6)
-    } else {
-        format!("{nanos}ns")
     }
 }
 
@@ -314,8 +278,8 @@ mod tests {
 
     #[test]
     fn rebuilds_tree_from_ids_regardless_of_line_order() {
-        // Parent-before-child and child-before-parent must agree: only
-        // parentage matters.
+        // Parent-before-child, child-before-parent and end-before-start
+        // must agree: only parentage matters.
         let ordered = [
             HEADER.to_string(),
             start("root", 9, 1, 0),
@@ -331,9 +295,9 @@ mod tests {
             start("b", 9, 3, 1),
             start("root", 9, 1, 0),
             end("b", 300, 9, 3, 1),
-            start("a", 9, 2, 1),
-            end("root", 500, 9, 1, 0),
             end("a", 100, 9, 2, 1),
+            end("root", 500, 9, 1, 0),
+            start("a", 9, 2, 1),
         ]
         .join("\n");
         let a = parse_trace(&ordered).unwrap();

@@ -25,41 +25,42 @@ UNIQ_THREADS=1 cargo test -q --workspace
 echo "== cargo test (UNIQ_THREADS=4) =="
 UNIQ_THREADS=4 cargo test -q --workspace
 
-echo "== release build (profiling + baseline gate binaries) =="
+echo "== release build (CLI + baseline gate binaries) =="
 cargo build --release -q -p uniq-cli -p uniq-bench
 
-echo "== profile smoke (uniq profile wrapper + stage coverage) =="
+echo "== record smoke (--record DIR writes every view + stage coverage) =="
 ci_tmp="$(mktemp -d)"
 trap 'rm -rf "$ci_tmp"' EXIT
-target/release/uniq profile personalize --seed 6 --out "$ci_tmp/hrtf" \
-  --anechoic --grid 15 \
-  --profile-out "$ci_tmp/profile.json" --flame-out "$ci_tmp/flame.txt" \
-  > "$ci_tmp/profile.log"
-grep -q "per-stage wall clock:" "$ci_tmp/profile.log"
-target/release/baseline verify-profile "$ci_tmp/profile.json"
-test -s "$ci_tmp/flame.txt"
+target/release/uniq personalize --seed 6 --out "$ci_tmp/hrtf" \
+  --anechoic --grid 15 --record "$ci_tmp/record" > "$ci_tmp/record.log"
+grep -q "per-stage wall clock:" "$ci_tmp/record/report.txt"
+target/release/baseline verify-profile "$ci_tmp/record/profile.json"
+test -s "$ci_tmp/record/flame.folded"
+# Retired observability flags are usage errors (exit 2), never ignored.
+flag_rc=0
+target/release/uniq personalize --seed 6 --profile-out "$ci_tmp/x" \
+  >/dev/null 2>&1 || flag_rc=$?
+[ "$flag_rc" -eq 2 ] || { echo "removed flag --profile-out exited $flag_rc, want 2" >&2; exit 1; }
 
-echo "== memprof smoke (allocation attribution, 1 and 4 threads) =="
-# The memprof wrapper must attribute allocations to pipeline stages at
-# any pool size, write the snapshot JSON, and compose with the profiler
-# (alloc columns in the latency table).
+echo "== allocation smoke (--record allocation attribution, 1 and 4 threads) =="
+# A recorded run must attribute allocations to pipeline stages at any
+# pool size: the stage table carries the alloc columns and the
+# allocation table, and the profile JSON an alloc section.
 for threads in 1 4; do
-  UNIQ_THREADS=$threads target/release/uniq memprof personalize --seed 6 \
+  UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
     --out "$ci_tmp/mp_hrtf" --anechoic --grid 15 \
-    --alloc-out "$ci_tmp/alloc_$threads.json" > "$ci_tmp/memprof.log"
-  grep -q "per-stage allocations:" "$ci_tmp/memprof.log"
-  grep -q "fusion" "$ci_tmp/memprof.log"
-  test -s "$ci_tmp/alloc_$threads.json"
+    --record "$ci_tmp/alloc_$threads" > /dev/null
+  grep -q "per-stage allocations:" "$ci_tmp/alloc_$threads/report.txt"
+  grep -q "fusion" "$ci_tmp/alloc_$threads/report.txt"
+  grep -q "alloc-b" "$ci_tmp/alloc_$threads/report.txt"
+  grep -q '"alloc"' "$ci_tmp/alloc_$threads/profile.json"
 done
-target/release/uniq memprof profile personalize --seed 6 \
-  --out "$ci_tmp/mp_hrtf" --anechoic --grid 15 > "$ci_tmp/memprof_prof.log"
-grep -q "alloc-b" "$ci_tmp/memprof_prof.log"
 
-echo "== allocator overhead (memprof-wrapped vs bare personalize) =="
-# The counting allocator must be effectively free: even with recording
-# on, the wrapped run stays near the bare run (which pays one relaxed
-# atomic load per allocation). Best-of-3 to shave scheduler noise; the
-# 5% target is warn-tier, 25% is the hard CI ceiling.
+echo "== allocator overhead (--record vs bare personalize) =="
+# Recording must be effectively free: a --record run (recorder, event
+# log and counting allocator on) stays near the bare run (which pays one
+# relaxed atomic load per allocation). Best-of-3 to shave scheduler
+# noise; the 5% target is warn-tier, 25% is the hard CI ceiling.
 best_of_3_ns() {
   local best=""
   for _ in 1 2 3; do
@@ -74,11 +75,11 @@ best_of_3_ns() {
 }
 bare_ns=$(best_of_3_ns env UNIQ_THREADS=1 target/release/uniq personalize \
   --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15)
-prof_ns=$(best_of_3_ns env UNIQ_THREADS=1 target/release/uniq memprof personalize \
-  --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15)
+prof_ns=$(best_of_3_ns env UNIQ_THREADS=1 target/release/uniq personalize \
+  --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15 --record "$ci_tmp/ov_record")
 overhead_pct=$(awk -v b="$bare_ns" -v p="$prof_ns" \
   'BEGIN { printf "%.1f", (p - b) * 100.0 / b }')
-echo "allocator overhead: ${overhead_pct}% (bare ${bare_ns}ns, memprof ${prof_ns}ns)"
+echo "allocator overhead: ${overhead_pct}% (bare ${bare_ns}ns, recorded ${prof_ns}ns)"
 if ! awk -v o="$overhead_pct" 'BEGIN { exit !(o < 25.0) }'; then
   echo "allocator overhead ${overhead_pct}% exceeds the 25% CI ceiling" >&2
   exit 1
@@ -114,12 +115,11 @@ echo "== trace-report smoke (causal tree reconstruction, 1 and 4 threads) =="
 for threads in 1 4; do
   UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
     --out "$ci_tmp/trace_hrtf" --anechoic --grid 15 \
-    --metrics-out "$ci_tmp/trace_$threads.jsonl" \
-    --telemetry-out "$ci_tmp/telemetry_$threads.prom" > /dev/null
-  target/release/uniq trace report "$ci_tmp/trace_$threads.jsonl" \
+    --record "$ci_tmp/trace_$threads" > /dev/null
+  target/release/uniq trace report "$ci_tmp/trace_$threads/trace.jsonl" \
     > "$ci_tmp/trace_report.log"
   grep -q "critical path:" "$ci_tmp/trace_report.log"
-  grep -q "uniq_personalize_ns_count" "$ci_tmp/telemetry_$threads.prom"
+  grep -q "uniq_personalize_ns_count" "$ci_tmp/trace_$threads/telemetry.prom"
 done
 
 echo "== store smoke (put/get/verify round trip, 1 and 4 threads) =="

@@ -12,7 +12,6 @@
 use std::sync::{Arc, Mutex};
 use uniq_bench::baseline::{alloc_invariant, alloc_profile, BaselineSpec};
 use uniq_core::pipeline::personalize_with_retry;
-use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
 
 #[global_allocator]
@@ -80,10 +79,10 @@ fn hot_path_stages_stay_within_pinned_alloc_allowance() {
     let subject = Subject::from_seed(spec.seed);
     // Prewarm outside the profiled sink so lazy one-time setup does not
     // count against the allowance.
-    uniq_obs::with_sink(Arc::new(uniq_memprof::StageTrackingSink), || {
+    uniq_obs::with_sink(Arc::new(uniq_obs::sink::NoopSink), || {
         personalize_with_retry(&subject, &cfg, spec.seed, 3).expect("personalize failed");
     });
-    let profile = Arc::new(ProfileSink::new());
+    let profile = Arc::new(uniq_obs::Recorder::new());
     let (_, snap) = uniq_obs::with_sink(profile.clone(), || {
         uniq_memprof::measure(|| {
             personalize_with_retry(&subject, &cfg, spec.seed, 3).expect("personalize failed")

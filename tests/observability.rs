@@ -143,9 +143,8 @@ fn every_emitted_name_is_registered() {
     // faulted), the batch runner, both AoA estimators, and the render
     // layer — and check that every span, metric and counter name it
     // emits is declared in `uniq_obs::names`. A name minted inline at an
-    // instrumentation site would dodge the profiler's stage registry,
-    // the telemetry registry (which silently drops unknown names), and
-    // the baseline gate.
+    // instrumentation site would dodge the recorder (which drops
+    // unregistered names, counting them only) and the baseline gate.
     let cfg = obs_cfg();
     let memory = Arc::new(MemorySink::new());
     uniq_obs::with_sink(memory.clone(), || {
@@ -303,7 +302,7 @@ fn every_emitted_name_is_registered() {
     // by machinery this in-process workload cannot reach. A registered
     // name nobody emits is dead weight that silently rots.
     const EMITTED_ELSEWHERE: &[&str] = &[
-        // Aggregated by TelemetrySink at snapshot time, not via a sink event.
+        // Added by the Recorder at report time, not via a sink event.
         uniq_obs::names::OBS_TELEMETRY_OVERHEAD_NS,
     ];
     for name in uniq_obs::names::ALL_SPANS {

@@ -1,25 +1,24 @@
-//! Integration tests for the uniq-profile layer: profiling observes the
-//! real pipeline without changing a single output bit, and its report
-//! covers every documented stage.
+//! Integration tests for the recorder's profile: recording observes the
+//! real pipeline without changing a single output bit, its report covers
+//! every documented stage, and its call paths follow causal parents
+//! across pool workers.
 
 use std::sync::Arc;
 
 use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::{personalize, PersonalizationResult};
-use uniq_profile::ProfileSink;
+use uniq_obs::Recorder;
 use uniq_subjects::Subject;
 
-// threads is pinned to 1: the path/self-time assertions below rely on
-// every span sharing one stack. On pool workers spans root at the
-// worker's own (empty) stack — cross-thread parentage is intentionally
-// not stitched (see uniq-profile docs); worker attribution has its own
-// coverage in the uniq-profile unit tests.
-fn profile_cfg() -> UniqConfig {
+// threads is pinned to 1 where self times must add up: spans that run
+// concurrently on pool workers overlap in wall time, so only a serial run
+// splits the root's wall time exactly into self times.
+fn profile_cfg(threads: usize) -> UniqConfig {
     UniqConfig {
         in_room: false,
         snr_db: 45.0,
         grid_step_deg: 10.0,
-        threads: 1,
+        threads,
         ..UniqConfig::fast_test()
     }
 }
@@ -41,11 +40,11 @@ fn assert_results_identical(a: &PersonalizationResult, b: &PersonalizationResult
 
 #[test]
 fn profiling_never_changes_the_output() {
-    let cfg = profile_cfg();
+    let cfg = profile_cfg(1);
     let subject = Subject::from_seed(90);
 
     let bare = personalize(&subject, &cfg, 46).expect("bare run succeeds");
-    let profile = Arc::new(ProfileSink::new());
+    let profile = Arc::new(Recorder::new());
     let profiled = uniq_obs::with_sink(profile.clone(), || {
         personalize(&subject, &cfg, 46).expect("profiled run succeeds")
     });
@@ -55,9 +54,9 @@ fn profiling_never_changes_the_output() {
 
 #[test]
 fn profile_report_covers_the_pipeline() {
-    let cfg = profile_cfg();
+    let cfg = profile_cfg(1);
     let subject = Subject::from_seed(91);
-    let profile = Arc::new(ProfileSink::new());
+    let profile = Arc::new(Recorder::new());
     uniq_obs::with_sink(profile.clone(), || {
         personalize(&subject, &cfg, 47).expect("pipeline succeeds")
     });
@@ -106,11 +105,39 @@ fn profile_report_covers_the_pipeline() {
     // The exporters agree with the report.
     let table = report.render_table();
     assert!(table.contains("personalize") && table.contains("p99"));
-    let json = uniq_profile::json::Json::parse(&report.to_json()).expect("profile JSON parses");
+    let json = uniq_obs::json::Json::parse(&report.to_json()).expect("profile JSON parses");
     assert_eq!(
         json.get("stages").unwrap().as_array().unwrap().len(),
         report.stages.len()
     );
     let collapsed = report.collapsed_stacks();
     assert_eq!(collapsed.lines().count(), report.paths.len());
+}
+
+#[test]
+fn worker_spans_stitch_under_personalize() {
+    // At 4 threads the per-stop channel estimates run on pool workers;
+    // their causal parent ids still place them under the session span,
+    // so every call path roots at the personalize span.
+    let cfg = profile_cfg(4);
+    let subject = Subject::from_seed(92);
+    let profile = Arc::new(Recorder::new());
+    uniq_obs::with_sink(profile.clone(), || {
+        personalize(&subject, &cfg, 48).expect("pipeline succeeds")
+    });
+    let report = profile.report();
+    for p in &report.paths {
+        assert!(
+            p.path == "personalize" || p.path.starts_with("personalize;"),
+            "path {} escaped the root span",
+            p.path
+        );
+    }
+    let estimates: u64 = report
+        .paths
+        .iter()
+        .filter(|p| p.path == "personalize;session;channel.estimate")
+        .map(|p| p.count)
+        .sum();
+    assert_eq!(estimates, cfg.stops as u64);
 }

@@ -607,7 +607,7 @@ fn two_shards_sustain_throughput_with_latency_profile() {
         "throughput gate failed: {:.2} subjects/s",
         report.subjects_per_second
     );
-    // Latency percentiles come from the uniq-profile stage histogram.
+    // Latency percentiles come from the recorder's stage histogram.
     assert!(report.p50_ms > 0.0);
     assert!(report.p99_ms >= report.p50_ms);
     let stage = report

@@ -1,5 +1,5 @@
-//! Integration tests for the uniq-telemetry layer: sharded metric
-//! aggregation is thread-count-invariant, the self-overhead stays
+//! Integration tests for the telemetry views: the recorder's metric
+//! aggregation is thread-count-invariant, its self-overhead stays
 //! bounded, causal traces round-trip through the JSONL sink into a
 //! complete tree, and the run ledger's trend gate catches injected
 //! regressions.
@@ -10,10 +10,10 @@ use uniq_core::batch::personalize_batch;
 use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::personalize;
 use uniq_obs::names::OBS_TELEMETRY_OVERHEAD_NS;
+use uniq_obs::Recorder;
 use uniq_subjects::Subject;
 use uniq_telemetry::ledger::{self, LedgerRecord};
 use uniq_telemetry::trace::parse_trace;
-use uniq_telemetry::TelemetrySink;
 
 fn cfg_with(threads: usize) -> UniqConfig {
     UniqConfig {
@@ -27,16 +27,15 @@ fn cfg_with(threads: usize) -> UniqConfig {
 
 #[test]
 fn registry_deterministic_across_thread_counts() {
-    // The sharded sink assigns events to per-worker shards, so shard
-    // contents differ between thread counts — but the aggregated
-    // registry's determinism key (counter totals, span counts, metric
-    // counts and extremes) must not.
+    // Events arrive in a different order at every thread count — but the
+    // recorded report's determinism key (counter totals, span counts,
+    // metric counts and extremes) must not change.
     let record = |threads: usize| {
-        let sink = Arc::new(TelemetrySink::new());
+        let sink = Arc::new(Recorder::new());
         uniq_obs::with_sink(sink.clone(), || {
             personalize_batch(&[70u64, 71, 72, 73], &cfg_with(threads), threads, 2);
         });
-        sink.snapshot()
+        sink.report()
     };
     let snap1 = record(1);
     let snap8 = record(8);
@@ -51,11 +50,11 @@ fn registry_deterministic_across_thread_counts() {
 #[test]
 fn overhead_metric_emitted_and_bounded() {
     let subject = Subject::from_seed(6);
-    let sink = Arc::new(TelemetrySink::new());
+    let sink = Arc::new(Recorder::new());
     uniq_obs::with_sink(sink.clone(), || {
         personalize(&subject, &cfg_with(1), 6).expect("pipeline succeeds")
     });
-    let snapshot = sink.snapshot();
+    let snapshot = sink.report();
 
     let overhead = snapshot
         .metrics
@@ -67,10 +66,9 @@ fn overhead_metric_emitted_and_bounded() {
     // The acceptance bound: recording overhead under 5% of the seed-6
     // personalize wall time (the root span's recorded duration).
     let personalize_ns = snapshot
-        .spans
-        .get("personalize")
+        .stage("personalize")
         .expect("personalize span recorded")
-        .sum();
+        .total_nanos;
     assert!(personalize_ns > 0);
     assert!(
         u128::from(snapshot.overhead_ns) < personalize_ns / 20,
@@ -207,12 +205,12 @@ fn ledger_compare_accepts_identical_runs() {
 
 #[test]
 fn prometheus_exposition_covers_the_pipeline() {
-    let sink = Arc::new(TelemetrySink::new());
+    let sink = Arc::new(Recorder::new());
     uniq_obs::with_sink(sink.clone(), || {
         let subject = Subject::from_seed(6);
         personalize(&subject, &cfg_with(1), 6).expect("pipeline succeeds")
     });
-    let text = uniq_telemetry::expose::prometheus(&sink.snapshot());
+    let text = sink.report().prometheus();
     assert!(text.contains("uniq_personalize_ns_count 1"), "{text}");
     assert!(text.contains("uniq_fusion_ns"), "{text}");
     assert!(text.contains("uniq_obs_telemetry_overhead_ns"), "{text}");
