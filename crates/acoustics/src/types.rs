@@ -199,6 +199,10 @@ impl HrirBank {
     /// The HRIR measured at the angle nearest to `theta_deg` (wrapping).
     pub fn nearest(&self, theta_deg: f64) -> (&BinauralIr, f64) {
         let t = theta_deg.rem_euclid(360.0);
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor asserts the bank is non-empty"
+        )]
         let (idx, _) = self
             .angles_deg
             .iter()
@@ -208,7 +212,6 @@ impl HrirBank {
                 let db = wrap_diff(**b, t);
                 da.total_cmp(&db)
             })
-            // uniq-analyzer: allow(panic-safety) — the constructor asserts the bank is non-empty
             .expect("non-empty bank");
         (&self.irs[idx], self.angles_deg[idx])
     }

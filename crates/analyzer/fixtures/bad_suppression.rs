@@ -1,9 +1,8 @@
-//! Fixture: malformed suppressions (analyzed as `imu`).
+//! Fixture: malformed suppressions (analyzed as `render`).
 
-pub fn f(v: &[f64]) -> f64 {
-    // uniq-analyzer: allow(panic-safety)
-    let a = v.first().unwrap();
+pub fn emit(v: f64) {
+    // uniq-analyzer: allow(obs-metric-name)
+    uniq_obs::metric("render.latency_ms", v, "ms");
     // uniq-analyzer: allow(no-such-rule) — justifying a rule that does not exist
-    let b = v.last().unwrap();
-    a + b
+    uniq_obs::counter("render.frames", 1);
 }

@@ -6,8 +6,7 @@
 //!
 //! - **Free calls** `foo(…)` resolve to every first-party free function
 //!   named `foo` whose parameter count matches the argument count, in
-//!   any crate (cross-crate laundering through a helper is exactly what
-//!   the dataflow rules exist to catch).
+//!   any crate (a lock taken two crates down still counts).
 //! - **Method calls** `x.foo(…)` resolve to every first-party method
 //!   named `foo` with a `self` receiver and `args + 1` parameters —
 //!   receiver types are unknown, and trait objects (`dyn Sink`) make
@@ -21,7 +20,7 @@
 //! - **Closures** need no special casing for reachability: a closure's
 //!   body lies inside its defining function's token range, so calls made
 //!   from a closure handed to `uniq-par` attribute to the submitting
-//!   function, which is the causal truth the rules want. The pool
+//!   function, which is the causal truth lock order wants. The pool
 //!   *boundary* (what is live across `par_map`) is tracked separately by
 //!   the lock-order facts.
 //!
@@ -320,7 +319,7 @@ mod tests {
     fn graph(sources: &[(&str, &str, &str)]) -> CallGraph {
         let files: Vec<SourceFile> = sources
             .iter()
-            .map(|(path, krate, text)| SourceFile::parse(path, krate, false, text))
+            .map(|(path, krate, text)| SourceFile::parse(path, krate, text))
             .collect();
         let mut fns = Vec::new();
         for (i, f) in files.iter().enumerate() {

@@ -1,38 +1,18 @@
-//! Diagnostics: severity, call-path traces, rendering, and
-//! machine-readable JSON output.
+//! Diagnostics: one finding at a `file:line`, with the call path for
+//! lock-order findings. Every finding is an error; the run fails unless
+//! each one is fixed or suppressed with a justification.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// How serious a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Reported, but only fails the run under `--strict`.
-    Warning,
-    /// Fails the run unless suppressed.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// One hop of an interprocedural finding's call path. The first step is
-/// the path's origin (for taint: the result-crate entry point; for
-/// hot-path allocation: the span site) and the last step is the site the
-/// diagnostic anchors on.
+/// One hop of a lock-order finding: where a lock is acquired, and where
+/// the conflicting acquisition (or pool hand-off) happens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStep {
     /// Workspace-relative path of the hop.
     pub file: String,
-    /// 1-based line of the call site (or source/sink site).
+    /// 1-based line of the site.
     pub line: u32,
-    /// Human-readable symbol at this hop (e.g. `core::fusion::fuse`).
+    /// What happens at this hop (e.g. "acquires `store.inner`").
     pub symbol: String,
 }
 
@@ -51,29 +31,20 @@ pub struct Diagnostic {
     pub line: u32,
     /// Rule name (stable identifier, used in `allow(...)`).
     pub rule: &'static str,
-    /// Severity.
-    pub severity: Severity,
     /// Human-readable explanation.
     pub message: String,
-    /// Call path for interprocedural findings (empty for line-local
-    /// rules). Ordered source→sink or seed→site; see [`TraceStep`].
+    /// Acquisition trace for lock-order findings (empty for the
+    /// line-local rules).
     pub trace: Vec<TraceStep>,
 }
 
 impl Diagnostic {
-    /// A line-local diagnostic with no call path.
-    pub fn new(
-        file: String,
-        line: u32,
-        rule: &'static str,
-        severity: Severity,
-        message: String,
-    ) -> Diagnostic {
+    /// A line-local diagnostic with no trace.
+    pub fn new(file: String, line: u32, rule: &'static str, message: String) -> Diagnostic {
         Diagnostic {
             file,
             line,
             rule,
-            severity,
             message,
             trace: Vec::new(),
         }
@@ -84,132 +55,14 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {}[{}]: {}",
-            self.file, self.line, self.severity, self.rule, self.message
-        )
-    }
-}
-
-/// Renders diagnostics as a JSON array (hand-rolled: the workspace has
-/// no serde). Output is stable: the caller sorts before rendering.
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str("  ");
-        push_diag_json(&mut out, d);
-        if i + 1 < diags.len() {
-            out.push(',');
+            "{}:{}: error[{}]: {}",
+            self.file, self.line, self.rule, self.message
+        )?;
+        for step in &self.trace {
+            write!(f, "\n    trace: {step}")?;
         }
-        out.push('\n');
+        Ok(())
     }
-    out.push(']');
-    out
-}
-
-fn push_diag_json(out: &mut String, d: &Diagnostic) {
-    out.push('{');
-    out.push_str(&format!("\"file\":{},", json_str(&d.file)));
-    out.push_str(&format!("\"line\":{},", d.line));
-    out.push_str(&format!("\"rule\":{},", json_str(d.rule)));
-    out.push_str(&format!(
-        "\"severity\":{},",
-        json_str(&d.severity.to_string())
-    ));
-    out.push_str(&format!("\"message\":{}", json_str(&d.message)));
-    if !d.trace.is_empty() {
-        out.push_str(",\"trace\":[");
-        for (i, step) in d.trace.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"file\":{},\"line\":{},\"symbol\":{}}}",
-                json_str(&step.file),
-                step.line,
-                json_str(&step.symbol)
-            ));
-        }
-        out.push(']');
-    }
-    out.push('}');
-}
-
-/// Summary counters for a whole analysis run, embedded in the findings
-/// report so CI and the run ledger can track finding counts over time.
-#[derive(Debug, Clone)]
-pub struct ReportSummary {
-    /// Files analyzed.
-    pub files: usize,
-    /// Total suppressions encountered.
-    pub suppressions: usize,
-    /// Suppressions that matched no finding (stale).
-    pub stale_suppressions: usize,
-    /// Whether strict (audit-level) rules ran.
-    pub strict: bool,
-}
-
-/// Renders the versioned machine-readable findings report: schema tag,
-/// summary counters, per-rule finding counts, and the findings
-/// themselves (traces included). Deliberately carries no timestamps so
-/// back-to-back runs on the same tree are byte-identical.
-pub fn to_json_report(diags: &[Diagnostic], summary: &ReportSummary) -> String {
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let mut by_rule: BTreeMap<&str, usize> = BTreeMap::new();
-    for d in diags {
-        *by_rule.entry(d.rule).or_insert(0) += 1;
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"files\": {},\n", summary.files));
-    out.push_str(&format!("  \"suppressions\": {},\n", summary.suppressions));
-    out.push_str(&format!(
-        "  \"stale_suppressions\": {},\n",
-        summary.stale_suppressions
-    ));
-    out.push_str(&format!("  \"strict\": {},\n", summary.strict));
-    out.push_str(&format!("  \"errors\": {},\n", errors));
-    out.push_str(&format!("  \"warnings\": {},\n", diags.len() - errors));
-    out.push_str("  \"counts\": {");
-    for (i, (rule, n)) in by_rule.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", json_str(rule), n));
-    }
-    out.push_str("},\n");
-    out.push_str("  \"findings\": [\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str("    ");
-        push_diag_json(&mut out, d);
-        if i + 1 < diags.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}");
-    out
-}
-
-/// Escapes a string for JSON.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -217,74 +70,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_is_file_line_rule_message() {
-        let d = Diagnostic::new(
-            "crates/core/src/x.rs".into(),
-            7,
-            "wall-clock",
-            Severity::Error,
-            "no".into(),
-        );
+    fn display_is_file_line_rule_message_then_trace() {
+        let mut d = Diagnostic::new("crates/store/src/x.rs".into(), 7, "lock-order", "no".into());
         assert_eq!(
             d.to_string(),
-            "crates/core/src/x.rs:7: error[wall-clock]: no"
-        );
-    }
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        let d = Diagnostic::new(
-            "a\"b.rs".into(),
-            1,
-            "panic-safety",
-            Severity::Warning,
-            "line1\nline2".into(),
-        );
-        let j = to_json(&[d]);
-        assert!(j.contains("\"file\":\"a\\\"b.rs\""));
-        assert!(j.contains("\\nline2"));
-        assert!(j.starts_with('[') && j.ends_with(']'));
-    }
-
-    #[test]
-    fn empty_json_is_empty_array() {
-        assert_eq!(to_json(&[]), "[\n]");
-    }
-
-    #[test]
-    fn trace_round_trips_into_json() {
-        let mut d = Diagnostic::new(
-            "crates/core/src/fusion.rs".into(),
-            9,
-            "determinism-taint",
-            Severity::Error,
-            "tainted".into(),
+            "crates/store/src/x.rs:7: error[lock-order]: no"
         );
         d.trace.push(TraceStep {
-            file: "crates/obs/src/lib.rs".into(),
+            file: "crates/store/src/x.rs".into(),
             line: 3,
-            symbol: "obs::clock".into(),
+            symbol: "acquires `store.inner`".into(),
         });
-        let j = to_json(&[d]);
-        assert!(j.contains("\"trace\":[{\"file\":\"crates/obs/src/lib.rs\""));
-        assert!(j.contains("\"symbol\":\"obs::clock\""));
-    }
-
-    #[test]
-    fn report_carries_schema_and_counts() {
-        let d = Diagnostic::new("x.rs".into(), 1, "lock-order", Severity::Error, "m".into());
-        let r = to_json_report(
-            &[d],
-            &ReportSummary {
-                files: 3,
-                suppressions: 2,
-                stale_suppressions: 1,
-                strict: false,
-            },
+        assert_eq!(
+            d.to_string(),
+            "crates/store/src/x.rs:7: error[lock-order]: no\n    \
+             trace: crates/store/src/x.rs:3: acquires `store.inner`"
         );
-        assert!(r.contains("\"schema\": 1"));
-        assert!(r.contains("\"counts\": {\"lock-order\":1}"));
-        assert!(r.contains("\"errors\": 1"));
-        assert!(r.contains("\"stale_suppressions\": 1"));
     }
 }

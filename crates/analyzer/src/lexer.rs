@@ -3,11 +3,10 @@
 //! The analyzer needs just enough lexical structure to pattern-match
 //! token sequences reliably: identifiers, literals, punctuation, and —
 //! crucially — comments kept as first-class tokens, because suppressions
-//! (`// uniq-analyzer: allow(...)`) and `// SAFETY:` audits live in
-//! them. String and comment contents must never leak into the
-//! significant-token stream (a doc example mentioning `unwrap()` is not
-//! a finding), which is exactly the property ad-hoc `grep`-style checks
-//! get wrong.
+//! (`// uniq-analyzer: allow(...)`) live in them. String and comment
+//! contents must never leak into the significant-token stream (a doc
+//! example mentioning `span(…)` is not a finding), which is exactly the
+//! property ad-hoc `grep`-style checks get wrong.
 //!
 //! The grammar subset is deliberately loose where looseness is safe
 //! (numeric literal shapes, multi-char operators arriving as single

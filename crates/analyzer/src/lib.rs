@@ -1,89 +1,63 @@
 //! # uniq-analyzer
 //!
-//! A self-contained static-analysis pass over the UNIQ workspace,
-//! enforcing the domain invariants the paper reproduction silently
-//! depends on: **determinism** (no unordered iteration, wall-clock
-//! reads, or environment reads in result-producing crates),
-//! **unsafe-audit** (`unsafe` confined to `uniq-par`, every block
-//! carrying a `// SAFETY:` comment, every other crate root declaring
-//! `#![forbid(unsafe_code)]`), **panic-safety** (no
-//! `unwrap`/`expect`/`panic!` in result-crate library paths), and
-//! **observability hygiene** (span guards bound, metric names shared
-//! constants).
+//! The workspace rules that no compiler lint can express. The generic
+//! invariants UNIQ's evaluation depends on — determinism and panic
+//! freedom in the result crates, `unsafe` confined and audited, every
+//! suppression reasoned — are clippy and rustc lints (`crates/clippy.toml`
+//! and `[workspace.lints]`; DESIGN.md §9). What stays here is about the
+//! meaning of this workspace's own APIs:
 //!
-//! Since v2 the analyzer also reasons *across* function calls: a
-//! workspace-wide symbol table ([`symbols`]), a conservative name/arity
-//! call graph ([`callgraph`]), and a fixed-point dataflow engine
-//! ([`dataflow`]) drive four interprocedural rule families
-//! ([`flow_rules`]): determinism taint (nondeterminism sources may not
-//! reach result-crate public fns, however many helpers launder them),
-//! panic reachability (panic sites in support crates reachable from
-//! result entry points), lock order (Mutex acquisition cycles and
-//! guards held across pool boundaries), and hot-path allocation
-//! (functions reachable from hot spans must not allocate per call).
-//! A stale-suppression audit closes the loop: an `allow(...)` that
-//! silences nothing is itself a finding.
+//! - **lock order** ([`lock_order`]): the Mutex acquisition graph of
+//!   `store`, `obs` and `serve`, built over a conservative whole-workspace
+//!   call graph ([`symbols`], [`callgraph`], [`facts`]), must be acyclic,
+//!   and no guard may be held across a `uniq-par` pool boundary;
+//! - **observability hygiene** ([`rules`]): span guards are not dropped
+//!   by `let _ = span(…)`, metric names come from `uniq_obs::names`, and
+//!   emission inside pool closures runs under a captured `ObsContext`.
 //!
-//! Why a bespoke tool instead of clippy lints: the invariants are
-//! *domain* rules — "crate X may not read the clock", "metric names
-//! must come from `uniq_obs::names`" — that no general-purpose lint
-//! expresses, and the offline build environment has no `syn`/`dylint`
-//! to build on. The analyzer therefore hand-rolls a lossless-enough
-//! tokenizer ([`lexer`]), a per-file context with test-region and
-//! suppression tracking ([`source`]), and a small rule engine
-//! ([`rules`]) with `file:line` diagnostics and machine-readable JSON
-//! output ([`diagnostics`]).
-//!
-//! Run it over the workspace:
+//! The offline build has no `syn`, so the analyzer works on its own
+//! token stream ([`lexer`], [`source`]). Run it over the workspace:
 //!
 //! ```text
-//! cargo run -p uniq-analyzer -- check             # human-readable
-//! cargo run -p uniq-analyzer -- check --format json
-//! cargo run -p uniq-analyzer -- check --strict    # + audit-level rules
+//! cargo run -p uniq-analyzer -- check
 //! ```
 //!
-//! Exit status is nonzero iff any unsuppressed **error**-severity
-//! diagnostic remains. Individual sites are silenced with an inline
-//! comment naming the rule and the reason:
+//! Exit status is nonzero iff any finding remains. A site is silenced
+//! with an inline comment naming the rule and the reason:
 //!
 //! ```text
-//! // uniq-analyzer: allow(wall-clock) — timing feeds obs metrics only
+//! // uniq-analyzer: allow(lock-order) — `out` is the guard itself, not a re-entry
 //! ```
 //!
-//! A suppression without a justification (or naming an unknown rule) is
-//! itself an error, so the audit trail stays honest.
+//! A suppression without a justification, naming an unknown rule, or
+//! silencing nothing is itself a finding.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod callgraph;
-pub mod cli;
-pub mod dataflow;
 pub mod diagnostics;
 pub mod facts;
-pub mod flow_rules;
 pub mod lexer;
+pub mod lock_order;
 pub mod rules;
 pub mod source;
 pub mod symbols;
 pub mod workspace;
 
-pub use diagnostics::{to_json_report, Diagnostic, ReportSummary, Severity, TraceStep};
+pub use diagnostics::{Diagnostic, TraceStep};
 pub use source::SourceFile;
-pub use workspace::{
-    analyze_sources, analyze_workspace, analyze_workspace_with, find_root, SourceSpec,
-    WorkspaceReport,
-};
+pub use workspace::{analyze_sources, analyze_workspace, find_root, SourceSpec, WorkspaceReport};
 
-/// Analyzes a single source text as if it were at `path` in crate
-/// `crate_name`. The entry point the golden-fixture tests use.
-pub fn analyze_str(
-    path: &str,
-    crate_name: &str,
-    is_crate_root: bool,
-    text: &str,
-    strict: bool,
-) -> Vec<Diagnostic> {
-    let file = SourceFile::parse(path, crate_name, is_crate_root, text);
-    rules::analyze_file(&file, strict)
+/// Runs the line-local rules over a single source text as if it were at
+/// `path` in crate `crate_name`, with its suppressions applied and
+/// validated. The entry point the golden-fixture tests use.
+pub fn analyze_str(path: &str, crate_name: &str, text: &str) -> Vec<Diagnostic> {
+    let file = SourceFile::parse(path, crate_name, text);
+    let mut out: Vec<Diagnostic> = rules::raw_findings(&file)
+        .into_iter()
+        .filter(|d| !file.is_suppressed(d.rule, d.line))
+        .collect();
+    rules::check_suppressions(&file, &mut out);
+    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    out
 }

@@ -29,9 +29,6 @@ pub struct SourceFile {
     pub path: String,
     /// Short crate name (`core`, `par`, `suite`, ...).
     pub crate_name: String,
-    /// `true` for `src/lib.rs` / `src/main.rs` — the files that must
-    /// carry `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
     /// All tokens, comments included, in source order.
     pub tokens: Vec<Token>,
     /// Indices into `tokens` of non-comment tokens.
@@ -46,7 +43,7 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Lexes and indexes `text`.
-    pub fn parse(path: &str, crate_name: &str, is_crate_root: bool, text: &str) -> SourceFile {
+    pub fn parse(path: &str, crate_name: &str, text: &str) -> SourceFile {
         let tokens = lex(text);
         let sig: Vec<usize> = tokens
             .iter()
@@ -67,7 +64,6 @@ impl SourceFile {
         SourceFile {
             path: path.to_string(),
             crate_name: crate_name.to_string(),
-            is_crate_root,
             tokens,
             sig,
             test_ranges,
@@ -91,6 +87,12 @@ impl SourceFile {
     /// The significant token at significant-index `i`, if any.
     pub fn sig_token(&self, i: usize) -> Option<&Token> {
         self.sig.get(i).map(|&ti| &self.tokens[ti])
+    }
+
+    /// Is the significant token at `i` the punctuation `text`?
+    pub fn is_punct(&self, i: usize, text: &str) -> bool {
+        self.sig_token(i)
+            .is_some_and(|t| t.kind == TokenKind::Punct && t.text == text)
     }
 
     /// Does the significant stream starting at `i` match `pattern`
@@ -244,7 +246,7 @@ mod tests {
     #[test]
     fn cfg_test_module_lines_are_test_code() {
         let src = "fn lib() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); }\n}\nfn after() {}\n";
-        let f = SourceFile::parse("x.rs", "core", false, src);
+        let f = SourceFile::parse("x.rs", "core", src);
         assert!(!f.in_test_code(1));
         assert!(f.in_test_code(3));
         assert!(f.in_test_code(6));
@@ -255,7 +257,7 @@ mod tests {
     #[test]
     fn test_fn_outside_module_is_test_code() {
         let src = "fn lib() {}\n#[test]\nfn t() {\n    boom.unwrap();\n}\nfn more() {}\n";
-        let f = SourceFile::parse("x.rs", "core", false, src);
+        let f = SourceFile::parse("x.rs", "core", src);
         assert!(f.in_test_code(4));
         assert!(!f.in_test_code(6));
     }
@@ -263,18 +265,18 @@ mod tests {
     #[test]
     fn cfg_test_on_bodyless_item_covers_only_itself() {
         let src = "#[cfg(test)]\nuse std::collections::HashMap;\nfn real() {}\n";
-        let f = SourceFile::parse("x.rs", "core", false, src);
+        let f = SourceFile::parse("x.rs", "core", src);
         assert!(f.in_test_code(2));
         assert!(!f.in_test_code(3));
     }
 
     #[test]
     fn suppression_trailing_and_above() {
-        let src = "// uniq-analyzer: allow(wall-clock) — timing feeds metrics only\nlet t = Instant::now();\nlet u = x.unwrap(); // uniq-analyzer: allow(panic-safety) — len checked above\n";
-        let f = SourceFile::parse("x.rs", "core", false, src);
-        assert!(f.is_suppressed("wall-clock", 2));
-        assert!(f.is_suppressed("panic-safety", 3));
-        assert!(!f.is_suppressed("panic-safety", 2));
+        let src = "// uniq-analyzer: allow(lock-order) — the guard is the writer itself\nlet t = out.flush();\nlet u = m.lock(); // uniq-analyzer: allow(obs-context) — no emission here\n";
+        let f = SourceFile::parse("x.rs", "core", src);
+        assert!(f.is_suppressed("lock-order", 2));
+        assert!(f.is_suppressed("obs-context", 3));
+        assert!(!f.is_suppressed("obs-context", 2));
         assert_eq!(f.suppressions.len(), 2);
         assert!(!f.suppressions[0].justification.is_empty());
     }
@@ -282,17 +284,17 @@ mod tests {
     #[test]
     fn suppression_multiple_rules() {
         let src =
-            "// uniq-analyzer: allow(wall-clock, env-read): startup config only\nlet x = 1;\n";
-        let f = SourceFile::parse("x.rs", "core", false, src);
-        assert!(f.is_suppressed("wall-clock", 2));
-        assert!(f.is_suppressed("env-read", 2));
+            "// uniq-analyzer: allow(lock-order, obs-context): startup config only\nlet x = 1;\n";
+        let f = SourceFile::parse("x.rs", "core", src);
+        assert!(f.is_suppressed("lock-order", 2));
+        assert!(f.is_suppressed("obs-context", 2));
         assert_eq!(f.suppressions[0].justification, "startup config only");
     }
 
     #[test]
     fn empty_justification_detected() {
-        let src = "let y = m.get(&k).unwrap(); // uniq-analyzer: allow(panic-safety)\n";
-        let f = SourceFile::parse("x.rs", "core", false, src);
+        let src = "let y = m.lock(); // uniq-analyzer: allow(lock-order)\n";
+        let f = SourceFile::parse("x.rs", "core", src);
         assert!(f.suppressions[0].justification.is_empty());
     }
 }

@@ -3,12 +3,12 @@
 //!
 //! The extractor walks a file's significant-token stream tracking brace
 //! depth, inline `mod` nesting, and `impl`/`trait` blocks, and records
-//! each `fn` it meets: name, visibility, parameter count, receiver
+//! each `fn` it meets: name, parameter count, receiver
 //! (`self`) presence, the body's token range, and the module path the
 //! file's location implies (`crates/core/src/fusion.rs` → `core::fusion`,
-//! `mod inner {}` appends). Bodies of functions in test regions are
-//! skipped entirely — test code is exempt from every rule, so it must
-//! neither seed nor carry dataflow.
+//! `mod inner {}` appends). Functions in test regions are skipped
+//! entirely: test code is exempt from every rule, so it must not carry
+//! lock facts either.
 
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
@@ -39,12 +39,8 @@ pub struct FnDef {
     pub crate_name: String,
     /// Fully qualified display symbol, e.g. `core::fusion::fuse`.
     pub symbol: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Number of declared parameters, `self` included.
     pub params: usize,
-    /// `pub` without a restriction like `pub(crate)`.
-    pub is_pub: bool,
     /// Free function or method, see [`FnKind`].
     pub kind: FnKind,
     /// Significant-token index range of the body (exclusive end).
@@ -157,7 +153,6 @@ pub fn extract_fns(file: &SourceFile, file_index: usize) -> Vec<FnDef> {
                 }
                 let fn_line = t.line;
                 let name = name_tok.text.clone();
-                let is_pub = is_pub_before(file, i);
                 // Parameter list: skip generics, then bracket-match the
                 // paren group counting top-level commas.
                 let mut j = i + 2;
@@ -265,9 +260,7 @@ pub fn extract_fns(file: &SourceFile, file_index: usize) -> Vec<FnDef> {
                         name,
                         crate_name: file.crate_name.clone(),
                         symbol: path.join("::"),
-                        line: fn_line,
                         params,
-                        is_pub,
                         kind,
                         body: body.clone(),
                     });
@@ -292,40 +285,12 @@ pub fn extract_fns(file: &SourceFile, file_index: usize) -> Vec<FnDef> {
     out
 }
 
-/// Does an unrestricted `pub` precede the `fn` at significant index
-/// `fn_idx` (allowing the qualifiers `const`/`unsafe`/`async`/`extern`
-/// and an ABI string in between)? `pub(crate)`/`pub(super)` are treated
-/// as non-public: they are not library entry points.
-fn is_pub_before(file: &SourceFile, fn_idx: usize) -> bool {
-    let mut i = fn_idx;
-    let mut hops = 0;
-    while i > 0 && hops < 6 {
-        i -= 1;
-        hops += 1;
-        let Some(t) = file.sig_token(i) else {
-            return false;
-        };
-        match (t.kind, t.text.as_str()) {
-            (TokenKind::Ident, "const" | "unsafe" | "async" | "extern") => continue,
-            (TokenKind::Str, _) => continue, // extern "C"
-            (TokenKind::Ident, "pub") => {
-                // `pub(...)` restricts visibility below public.
-                return !file
-                    .sig_token(i + 1)
-                    .is_some_and(|n| n.kind == TokenKind::Punct && n.text == "(");
-            }
-            _ => return false,
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(src: &str) -> SourceFile {
-        SourceFile::parse("crates/core/src/fusion.rs", "core", false, src)
+        SourceFile::parse("crates/core/src/fusion.rs", "core", src)
     }
 
     #[test]
@@ -335,9 +300,7 @@ mod tests {
         assert_eq!(fns.len(), 2);
         assert_eq!(fns[0].name, "fuse");
         assert_eq!(fns[0].params, 2);
-        assert!(fns[0].is_pub);
         assert_eq!(fns[0].symbol, "core::fusion::fuse");
-        assert!(!fns[1].is_pub);
         assert_eq!(fns[1].params, 0);
     }
 
@@ -391,14 +354,6 @@ mod tests {
         let fns = extract_fns(&f, 0);
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "real");
-    }
-
-    #[test]
-    fn pub_crate_is_not_public() {
-        let f = parse("pub(crate) fn internal() {}\npub const fn speedy() {}\n");
-        let fns = extract_fns(&f, 0);
-        assert!(!fns[0].is_pub);
-        assert!(fns[1].is_pub);
     }
 
     #[test]

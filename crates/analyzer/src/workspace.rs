@@ -10,17 +10,13 @@
 //! `examples/`) and the analyzer's own `fixtures/` are outside the
 //! `src/` directories the walk visits.
 //!
-//! The driver runs in deterministic parallel phases over `uniq-par`:
-//! file parsing is a `par_map` over the sorted file list, the four
-//! interprocedural rule families fan out as another `par_map`, and all
-//! outputs are index-ordered and then globally sorted — diagnostics are
-//! bit-identical at any thread count (the analyzer holds itself to the
-//! determinism bar it enforces, and a test pins 1 vs 8 threads).
+//! The pass is serial and deterministic: files are analyzed in sorted
+//! path order and the findings are sorted globally.
 
 use crate::callgraph::{self, DepClosure};
-use crate::diagnostics::{Diagnostic, Severity};
+use crate::diagnostics::Diagnostic;
 use crate::facts;
-use crate::flow_rules::{self, FlowOutput, UsedSuppression};
+use crate::lock_order::{self, UsedSuppression};
 use crate::rules;
 use crate::source::SourceFile;
 use crate::symbols;
@@ -28,11 +24,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Span-registry constants that seed the hot-path allocation rule when
-/// `crates/obs/src/names.rs` does not declare `HOT_PATH_SPANS` (or when
-/// analyzing virtual sources that do not include the registry).
-pub const DEFAULT_HOT_PATH_SPANS: &[&str] = &["SPAN_FUSION", "SPAN_CHANNEL_ESTIMATE"];
 
 /// The result of analyzing a whole workspace.
 #[derive(Debug)]
@@ -56,8 +47,6 @@ pub struct SourceSpec {
     pub path: String,
     /// Crate short name (`core`, `obs`, ...).
     pub crate_name: String,
-    /// Whether this is the crate root (`lib.rs`/`main.rs`).
-    pub is_crate_root: bool,
     /// File contents.
     pub text: String,
 }
@@ -252,24 +241,12 @@ fn manifest_package_name(manifest: &str) -> Option<String> {
     None
 }
 
-/// Analyzes every lintable file under `root` with the default thread
-/// count (`UNIQ_THREADS` / machine default).
-pub fn analyze_workspace(root: &Path, strict: bool) -> io::Result<WorkspaceReport> {
-    analyze_workspace_with(root, strict, 0)
-}
-
-/// [`analyze_workspace`] with an explicit pool size (`0` = default).
-/// The report is bit-identical for any `threads` value.
-pub fn analyze_workspace_with(
-    root: &Path,
-    strict: bool,
-    threads: usize,
-) -> io::Result<WorkspaceReport> {
+/// Analyzes every lintable file under `root`.
+pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let mut specs: Vec<SourceSpec> = Vec::new();
     for (crate_name, src_dir) in discover_units(root)? {
         let mut files = Vec::new();
         collect_rs_files(&src_dir, &mut files)?;
-        files.sort();
         for path in files {
             let text = fs::read_to_string(&path)?;
             let rel = path
@@ -277,141 +254,84 @@ pub fn analyze_workspace_with(
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let is_crate_root = path
-                .file_name()
-                .is_some_and(|n| n == "lib.rs" || n == "main.rs")
-                && path.parent() == Some(src_dir.as_path());
             specs.push(SourceSpec {
                 path: rel,
                 crate_name: crate_name.clone(),
-                is_crate_root,
                 text,
             });
         }
     }
-    specs.sort_by(|a, b| a.path.cmp(&b.path));
     let deps = workspace_dep_closure(root)?;
-    Ok(analyze_sources_with_deps(
-        &specs,
-        strict,
-        threads,
-        Some(&deps),
-    ))
+    Ok(analyze_sources_with_deps(&specs, Some(&deps)))
 }
 
 /// [`analyze_sources_with_deps`] without a dependency map: every crate
 /// pair resolves (the mode the in-memory fixture tests use — they carry
 /// no manifests).
-pub fn analyze_sources(specs: &[SourceSpec], strict: bool, threads: usize) -> WorkspaceReport {
-    analyze_sources_with_deps(specs, strict, threads, None)
+pub fn analyze_sources(specs: &[SourceSpec]) -> WorkspaceReport {
+    analyze_sources_with_deps(specs, None)
 }
 
-/// The whole-workspace analysis over in-memory sources: line-local
-/// rules, the call-graph dataflow families, and the stale-suppression
-/// audit. Deterministic for any `threads` value. `deps`, when given,
-/// restricts call resolution to each caller crate's dependency closure.
+/// The whole-workspace analysis over in-memory sources: the line-local
+/// rules, lock order over the call graph, and the suppression audit.
+/// `deps`, when given, restricts call resolution to each caller crate's
+/// dependency closure.
 pub fn analyze_sources_with_deps(
     specs: &[SourceSpec],
-    strict: bool,
-    threads: usize,
     deps: Option<&DepClosure>,
 ) -> WorkspaceReport {
-    let pool = uniq_par::pool(threads);
+    let mut specs: Vec<&SourceSpec> = specs.iter().collect();
+    specs.sort_by(|a, b| a.path.cmp(&b.path));
+    let files: Vec<SourceFile> = specs
+        .iter()
+        .map(|s| SourceFile::parse(&s.path, &s.crate_name, &s.text))
+        .collect();
 
-    // Phase 1: parse (parallel, index-ordered).
-    let files: Vec<SourceFile> = pool.par_map(specs, |s| {
-        SourceFile::parse(&s.path, &s.crate_name, s.is_crate_root, &s.text)
-    });
-
-    // Phase 2: line-local rules (parallel per file). Strict-only rules
-    // are always *generated* so their suppressions register as used;
-    // emission is filtered afterwards.
-    let per_file: Vec<(Vec<Diagnostic>, Vec<UsedSuppression>)> = {
-        let files_ref = &files;
-        pool.par_map(&(0..files.len()).collect::<Vec<_>>(), move |&i| {
-            let file = &files_ref[i];
-            let mut kept = Vec::new();
-            let mut used = Vec::new();
-            for d in rules::raw_findings(file, true) {
-                if file.is_suppressed(d.rule, d.line) {
-                    used.push((i, d.line, d.rule));
-                } else if strict || d.rule != "slice-index" {
-                    kept.push(d);
-                }
+    let mut diagnostics: Vec<Diagnostic> = Vec::new();
+    let mut used: BTreeSet<UsedSuppression> = BTreeSet::new();
+    for (i, file) in files.iter().enumerate() {
+        for d in rules::raw_findings(file) {
+            if file.is_suppressed(d.rule, d.line) {
+                used.insert((i, d.line, d.rule));
+            } else {
+                diagnostics.push(d);
             }
-            rules::check_suppressions(file, &mut kept);
-            (kept, used)
-        })
-    };
+        }
+        rules::check_suppressions(file, &mut diagnostics);
+    }
 
-    // Phase 3: symbols → call graph → facts (cheap, serial).
     let mut fns = Vec::new();
     for (i, f) in files.iter().enumerate() {
         fns.extend(symbols::extract_fns(f, i));
     }
     let graph = callgraph::build(&files, fns, deps);
-    let hot_spans = hot_span_consts(&files);
-    let fn_facts = facts::extract(&files, &graph, &hot_spans);
+    let lock_facts = facts::extract(&files, &graph);
+    let locks = lock_order::lock_order(&files, &graph, &lock_facts);
+    diagnostics.extend(locks.diags);
+    used.extend(locks.used);
 
-    // Phase 4: the four dataflow families (parallel, index-ordered).
-    let flow_outputs: Vec<FlowOutput> = {
-        let files_ref = &files;
-        let graph_ref = &graph;
-        let facts_ref = &fn_facts;
-        pool.par_map(&[0usize, 1, 2, 3], move |&family| match family {
-            0 => flow_rules::determinism_taint(files_ref, graph_ref, facts_ref),
-            1 => flow_rules::panic_reachability(files_ref, graph_ref, facts_ref, strict),
-            2 => flow_rules::lock_order(files_ref, graph_ref, facts_ref),
-            _ => flow_rules::hot_path_alloc(files_ref, graph_ref, facts_ref),
-        })
-    };
-
-    // Phase 5: merge, then the stale-suppression audit.
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut used: Vec<UsedSuppression> = Vec::new();
-    for (kept, u) in per_file {
-        diagnostics.extend(kept);
-        used.extend(u);
-    }
-    for out in flow_outputs {
-        diagnostics.extend(out.diags);
-        used.extend(out.used);
-    }
-    let used: BTreeSet<UsedSuppression> = used.into_iter().collect();
-
+    // Stale-suppression audit over the well-formed suppressions
+    // (malformed ones are already `bad-suppression` findings).
     let mut suppressions = 0usize;
     let mut stale = 0usize;
     for (i, file) in files.iter().enumerate() {
         suppressions += file.suppressions.len();
         for s in &file.suppressions {
-            // Malformed suppressions are already `bad-suppression`
-            // findings; the stale audit covers only well-formed ones.
             let well_formed = !s.justification.trim().is_empty()
                 && s.rules
                     .iter()
                     .all(|r| rules::RULE_NAMES.contains(&r.as_str()));
-            if !well_formed {
-                continue;
-            }
             let is_used = s.rules.iter().any(|r| {
-                rules::RULE_NAMES
-                    .iter()
-                    .find(|known| *known == r)
-                    .is_some_and(|&known| {
-                        used.contains(&(i, s.line, known)) || used.contains(&(i, s.line + 1, known))
-                    })
+                used.iter().any(|&(fi, line, rule)| {
+                    fi == i && rule == r && (line == s.line || line == s.line + 1)
+                })
             });
-            if !is_used {
+            if well_formed && !is_used {
                 stale += 1;
                 diagnostics.push(Diagnostic::new(
                     file.path.clone(),
                     s.line,
                     "stale-suppression",
-                    if strict {
-                        Severity::Error
-                    } else {
-                        Severity::Warning
-                    },
                     format!(
                         "suppression `allow({})` matches no finding; remove it \
                          (stale allows erode the audit trail)",
@@ -436,48 +356,6 @@ pub fn analyze_sources_with_deps(
         suppressions,
         stale_suppressions: stale,
     }
-}
-
-/// Reads the hot-span constant names out of the obs span registry
-/// (`HOT_PATH_SPANS` in `crates/obs/src/names.rs`); falls back to
-/// [`DEFAULT_HOT_PATH_SPANS`] when the registry is not in the file set.
-fn hot_span_consts(files: &[SourceFile]) -> Vec<String> {
-    use crate::lexer::TokenKind;
-    for file in files {
-        if file.crate_name != "obs" || !file.path.ends_with("names.rs") {
-            continue;
-        }
-        for i in 0..file.sig.len() {
-            let Some(t) = file.sig_token(i) else { continue };
-            if t.kind != TokenKind::Ident || t.text != "HOT_PATH_SPANS" {
-                continue;
-            }
-            // Collect identifiers inside the *initializer* brackets —
-            // the `[` of the `&[&str]` type annotation must not count,
-            // so the list only opens after the `=`.
-            let mut j = i + 1;
-            let mut names = Vec::new();
-            let mut seen_eq = false;
-            let mut in_list = false;
-            while let Some(tok) = file.sig_token(j) {
-                match (tok.kind, tok.text.as_str()) {
-                    (TokenKind::Punct, "=") => seen_eq = true,
-                    (TokenKind::Punct, "[") if seen_eq => in_list = true,
-                    (TokenKind::Punct, "]") if in_list => return names,
-                    (TokenKind::Punct, ";") => break,
-                    (TokenKind::Ident, name) if in_list => {
-                        names.push(name.to_string());
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-    }
-    DEFAULT_HOT_PATH_SPANS
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -1,304 +1,190 @@
-//! Golden-fixture tests: every rule has at least one known-bad fixture
-//! that must produce exactly the expected findings, and a clean
-//! counterpart that must produce none. The fixtures live outside `src/`
-//! so the workspace walk (and rustc) never touch them.
+//! Golden-fixture tests: every rule has a known-bad fixture that must
+//! produce exactly the expected findings, and a clean counterpart that
+//! must produce none. The fixtures live outside `src/` so the workspace
+//! walk (and rustc) never touch them. The lock-order fixtures are
+//! assembled into in-memory workspaces (no manifests, so call resolution
+//! is unrestricted by dependency closure).
 
-use uniq_analyzer::{analyze_str, Severity};
+use uniq_analyzer::{analyze_sources, analyze_str, Diagnostic, SourceSpec, WorkspaceReport};
 
-fn check(
-    fixture: &str,
-    crate_name: &str,
-    is_crate_root: bool,
-    strict: bool,
-) -> Vec<uniq_analyzer::Diagnostic> {
-    analyze_str("fixture.rs", crate_name, is_crate_root, fixture, strict)
+fn rules_and_lines(diags: &[Diagnostic]) -> Vec<(&str, u32)> {
+    diags.iter().map(|d| (d.rule, d.line)).collect()
 }
 
-#[test]
-fn hash_iteration_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_hash_iteration.rs"),
-        "dsp",
-        false,
-        false,
-    );
-    assert_eq!(diags.len(), 6, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "hash-iteration"));
-    assert!(diags.iter().all(|d| d.severity == Severity::Error));
-    // The `#[cfg(test)]` module's HashMap uses are exempt.
-    assert!(diags.iter().all(|d| d.line < 15), "{diags:#?}");
-}
-
-#[test]
-fn hash_iteration_clean() {
-    let diags = check(
-        include_str!("../fixtures/clean_hash_iteration.rs"),
-        "dsp",
-        false,
-        false,
-    );
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn hash_iteration_ignored_outside_result_crates() {
-    let diags = check(
-        include_str!("../fixtures/bad_hash_iteration.rs"),
-        "cli",
-        false,
-        false,
-    );
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn wall_clock_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_wall_clock.rs"),
-        "core",
-        false,
-        false,
-    );
-    assert_eq!(diags.len(), 4, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "wall-clock"));
-    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![2, 2, 5, 6]);
-}
-
-#[test]
-fn env_read_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_env_read.rs"),
-        "optim",
-        false,
-        false,
-    );
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, "env-read");
-    assert_eq!(diags[0].line, 5);
-}
-
-#[test]
-fn forbid_unsafe_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_forbid_unsafe.rs"),
-        "geometry",
-        true,
-        false,
-    );
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, "forbid-unsafe");
-    assert_eq!(diags[0].line, 1);
-}
-
-#[test]
-fn forbid_unsafe_clean() {
-    let diags = check(
-        include_str!("../fixtures/clean_forbid_unsafe.rs"),
-        "geometry",
-        true,
-        false,
-    );
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn forbid_unsafe_only_applies_to_crate_roots() {
-    let diags = check(
-        include_str!("../fixtures/bad_forbid_unsafe.rs"),
-        "geometry",
-        false,
-        false,
-    );
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn forbid_unsafe_exempts_par() {
-    let diags = check(
-        include_str!("../fixtures/bad_forbid_unsafe.rs"),
-        "par",
-        true,
-        false,
-    );
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn safety_comment_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_safety_comment.rs"),
-        "par",
-        false,
-        false,
-    );
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, "safety-comment");
-    assert_eq!(diags[0].line, 5);
-}
-
-#[test]
-fn safety_comment_clean() {
-    let diags = check(
-        include_str!("../fixtures/clean_safety_comment.rs"),
-        "par",
-        false,
-        false,
-    );
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn panic_safety_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_panic_safety.rs"),
-        "acoustics",
-        false,
-        false,
-    );
-    assert_eq!(diags.len(), 4, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "panic-safety"));
-    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![5, 7, 13, 17]);
-}
-
-#[test]
-fn panic_safety_clean() {
-    let diags = check(
-        include_str!("../fixtures/clean_panic_safety.rs"),
-        "acoustics",
-        false,
-        false,
-    );
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn slice_index_requires_strict() {
-    let fixture = include_str!("../fixtures/bad_slice_index.rs");
-    let relaxed = check(fixture, "dsp", false, false);
-    assert!(relaxed.is_empty(), "{relaxed:#?}");
-    let strict = check(fixture, "dsp", false, true);
-    assert_eq!(strict.len(), 1, "{strict:#?}");
-    assert_eq!(strict[0].rule, "slice-index");
-    assert_eq!(strict[0].severity, Severity::Warning);
-    assert_eq!(strict[0].line, 4);
+fn workspace(path: &str, crate_name: &str, text: &str) -> WorkspaceReport {
+    analyze_sources(&[SourceSpec {
+        path: path.to_string(),
+        crate_name: crate_name.to_string(),
+        text: text.to_string(),
+    }])
 }
 
 #[test]
 fn span_guard_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_span_guard.rs"),
+    let diags = analyze_str(
+        "f.rs",
         "core",
-        false,
-        false,
+        include_str!("../fixtures/bad_span_guard.rs"),
     );
-    assert_eq!(diags.len(), 2, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "obs-span-guard"));
-    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![4, 6]);
+    assert_eq!(rules_and_lines(&diags), vec![("obs-span-guard", 6)]);
 }
 
 #[test]
 fn span_guard_clean() {
-    let diags = check(
-        include_str!("../fixtures/clean_span_guard.rs"),
+    let diags = analyze_str(
+        "f.rs",
         "core",
-        false,
-        false,
+        include_str!("../fixtures/clean_span_guard.rs"),
     );
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
 #[test]
 fn metric_name_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_metric_name.rs"),
+    let diags = analyze_str(
+        "f.rs",
         "render",
-        false,
-        false,
+        include_str!("../fixtures/bad_metric_name.rs"),
     );
-    assert_eq!(diags.len(), 2, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "obs-metric-name"));
+    assert_eq!(
+        rules_and_lines(&diags),
+        vec![("obs-metric-name", 5), ("obs-metric-name", 6)]
+    );
 }
 
 #[test]
 fn metric_name_clean() {
-    let diags = check(
-        include_str!("../fixtures/clean_metric_name.rs"),
+    let diags = analyze_str(
+        "f.rs",
         "render",
-        false,
-        false,
+        include_str!("../fixtures/clean_metric_name.rs"),
     );
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
 #[test]
 fn metric_name_exempts_obs_itself() {
-    let diags = check(
-        include_str!("../fixtures/bad_metric_name.rs"),
+    let diags = analyze_str(
+        "f.rs",
         "obs",
-        false,
-        false,
+        include_str!("../fixtures/bad_metric_name.rs"),
     );
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
 #[test]
 fn obs_context_bad() {
-    let diags = check(
-        include_str!("../fixtures/bad_obs_context.rs"),
+    let diags = analyze_str(
+        "f.rs",
         "cli",
-        false,
-        false,
+        include_str!("../fixtures/bad_obs_context.rs"),
     );
-    assert_eq!(diags.len(), 4, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "obs-context"));
-    assert!(diags.iter().all(|d| d.severity == Severity::Error));
     // The `#[cfg(test)]` module's uncontexted emission is exempt.
-    assert!(diags.iter().all(|d| d.line < 28), "{diags:#?}");
+    assert_eq!(
+        rules_and_lines(&diags),
+        vec![
+            ("obs-context", 5),
+            ("obs-context", 6),
+            ("obs-context", 13),
+            ("obs-context", 21)
+        ]
+    );
 }
 
 #[test]
 fn obs_context_clean() {
-    let diags = check(
-        include_str!("../fixtures/clean_obs_context.rs"),
+    let diags = analyze_str(
+        "f.rs",
         "cli",
-        false,
-        false,
+        include_str!("../fixtures/clean_obs_context.rs"),
     );
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
 #[test]
 fn bad_suppressions_are_themselves_findings() {
-    let diags = check(
+    let diags = analyze_str(
+        "f.rs",
+        "render",
         include_str!("../fixtures/bad_suppression.rs"),
-        "imu",
-        false,
-        false,
     );
-    assert_eq!(diags.len(), 3, "{diags:#?}");
-    // Line 4: allow(panic-safety) with no justification. It still
-    // suppresses the unwrap on line 5, but is itself flagged.
-    assert_eq!((diags[0].rule, diags[0].line), ("bad-suppression", 4));
-    // Line 6: names a rule that does not exist …
-    assert_eq!((diags[1].rule, diags[1].line), ("bad-suppression", 6));
-    // … and therefore does not cover the unwrap on line 7.
-    assert_eq!((diags[2].rule, diags[2].line), ("panic-safety", 7));
+    // Line 4: no justification. It still suppresses line 5, but is
+    // itself flagged. Line 6 names a rule that does not exist, so it
+    // covers nothing and line 7 stays a finding.
+    assert_eq!(
+        rules_and_lines(&diags),
+        vec![
+            ("bad-suppression", 4),
+            ("bad-suppression", 6),
+            ("obs-metric-name", 7)
+        ]
+    );
 }
 
 #[test]
-fn json_output_shape() {
-    let diags = check(
-        include_str!("../fixtures/bad_env_read.rs"),
-        "optim",
-        false,
-        false,
+fn lock_cycle_and_pool_boundary_are_flagged() {
+    let report = workspace(
+        "crates/obs/src/locks.rs",
+        "obs",
+        include_str!("../fixtures/bad_lock_order.rs"),
     );
-    let json = uniq_analyzer::diagnostics::to_json(&diags);
-    assert!(json.starts_with('['), "{json}");
-    assert!(json.contains("\"rule\":\"env-read\""), "{json}");
-    assert!(json.contains("\"line\":5"), "{json}");
-    assert!(json.contains("\"severity\":\"error\""), "{json}");
+    let diags = &report.diagnostics;
+    assert!(diags.iter().all(|d| d.rule == "lock-order"), "{diags:#?}");
+    let cycle_lines: Vec<u32> = diags
+        .iter()
+        .filter(|d| d.message.contains("cycle"))
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(cycle_lines, vec![15, 23], "one witness per direction");
+    let pool: Vec<&Diagnostic> = diags
+        .iter()
+        .filter(|d| d.message.contains("pool boundary"))
+        .collect();
+    assert_eq!(pool.len(), 1, "{diags:#?}");
+    assert_eq!(pool[0].line, 31);
+    assert!(pool[0].message.contains("obs.alpha"), "{}", pool[0].message);
+    assert_eq!(pool[0].trace.len(), 2);
+}
+
+#[test]
+fn consistent_lock_order_with_early_release_is_quiet() {
+    let report = workspace(
+        "crates/obs/src/locks.rs",
+        "obs",
+        include_str!("../fixtures/clean_lock_order.rs"),
+    );
+    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
+}
+
+#[test]
+fn unmatched_suppression_is_stale() {
+    let src = "\
+/// Adds one.
+pub fn add_one(x: u32) -> u32 {
+    // uniq-analyzer: allow(lock-order) — left over from a removed cache lock
+    x + 1
+}
+";
+    let report = workspace("crates/store/src/tidy.rs", "store", src);
+    assert_eq!((report.suppressions, report.stale_suppressions), (1, 1));
+    assert_eq!(
+        rules_and_lines(&report.diagnostics),
+        vec![("stale-suppression", 3)]
+    );
+}
+
+#[test]
+fn suppression_on_the_witness_line_is_consumed() {
+    let src = include_str!("../fixtures/bad_lock_order.rs")
+        .replace(
+            "    let a = p.alpha.lock().expect(\"alpha poisoned\");\n    drop(a);\n    drop(b);",
+            "    // uniq-analyzer: allow(lock-order) — fixture: the reverse order is intended\n    let a = p.alpha.lock().expect(\"alpha poisoned\");\n    drop(a);\n    drop(b);",
+        );
+    let report = workspace("crates/obs/src/locks.rs", "obs", &src);
+    assert_eq!(report.stale_suppressions, 0, "the allow is consumed");
+    assert!(
+        report.diagnostics.iter().all(|d| d.line != 24),
+        "{:#?}",
+        report.diagnostics
+    );
 }

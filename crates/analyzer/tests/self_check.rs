@@ -1,33 +1,30 @@
-//! The analyzer's own acceptance gate, as a test: the workspace it ships
-//! in must analyze clean. This is the same check `scripts/ci.sh` runs
-//! via the binary; having it as a test means `cargo test` alone catches
-//! a regression (a new unwrap, a missing forbid attribute, a drive-by
-//! inline metric name) without needing the CI script.
+//! The analyzer's own acceptance gate, as tests: the workspace it ships
+//! in must analyze clean, and every first-party crate must stay under
+//! the workspace lint table that carries the rules clippy enforces.
 
-use uniq_analyzer::{
-    analyze_workspace, analyze_workspace_with, to_json_report, ReportSummary, Severity,
-};
+use std::path::PathBuf;
+
+use uniq_analyzer::analyze_workspace;
+
+fn root() -> PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves")
+}
 
 #[test]
 fn workspace_has_zero_unsuppressed_findings() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
-    let report = analyze_workspace(&root, false).expect("analysis runs");
+    let report = analyze_workspace(&root()).expect("analysis runs");
     assert!(
         report.files_analyzed > 50,
         "walk found too few files — did the layout change?"
     );
-    let errors: Vec<_> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .collect();
     assert!(
-        errors.is_empty(),
+        report.diagnostics.is_empty(),
         "workspace must analyze clean; found:\n{}",
-        errors
+        report
+            .diagnostics
             .iter()
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
@@ -36,45 +33,25 @@ fn workspace_has_zero_unsuppressed_findings() {
 }
 
 #[test]
-fn diagnostics_are_bit_identical_at_one_and_eight_threads() {
-    // The analyzer holds itself to the determinism bar it enforces: the
-    // whole report — findings, traces, counts — must not depend on the
-    // pool width used to produce it.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
-    let json_of = |threads: usize| {
-        let report = analyze_workspace_with(&root, true, threads).expect("analysis runs");
-        to_json_report(
-            &report.diagnostics,
-            &ReportSummary {
-                files: report.files_analyzed,
-                suppressions: report.suppressions,
-                stale_suppressions: report.stale_suppressions,
-                strict: true,
-            },
-        )
-    };
-    assert_eq!(json_of(1), json_of(8));
-}
-
-#[test]
-fn scope_job_erasure_is_audited() {
-    // Satellite of the analyzer PR: the raw-pointer job erasure in the
-    // pool's scope must keep its SAFETY audit. The safety-comment rule
-    // enforces the comment's presence; this pins the specific site so a
-    // refactor cannot silently move the unsafe out from under its audit.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
-    let scope =
-        std::fs::read_to_string(root.join("crates/par/src/scope.rs")).expect("scope.rs exists");
-    let safety_idx = scope.find("// SAFETY: the job is erased to 'static");
-    let unsafe_idx = scope.find("let job: Job = unsafe {");
-    match (safety_idx, unsafe_idx) {
-        (Some(s), Some(u)) => assert!(s < u, "SAFETY comment must precede the transmute"),
-        _ => panic!("scope.rs job-erasure SAFETY audit went missing"),
+fn every_crate_opts_into_the_workspace_lints() {
+    // The unsafe, panic, determinism and suppression rules are lints in
+    // `[workspace.lints]`; a crate whose manifest does not opt in would
+    // escape all of them without a single warning.
+    let mut checked = 0;
+    for entry in std::fs::read_dir(root().join("crates")).expect("crates/ lists") {
+        let manifest = entry.expect("dir entry").path().join("Cargo.toml");
+        let Ok(text) = std::fs::read_to_string(&manifest) else {
+            continue;
+        };
+        let opted_in = text
+            .split("\n[")
+            .any(|section| section.starts_with("lints]\nworkspace = true"));
+        assert!(
+            opted_in,
+            "{} lacks `[lints] workspace = true`",
+            manifest.display()
+        );
+        checked += 1;
     }
+    assert!(checked >= 15, "found only {checked} crate manifests");
 }

@@ -435,7 +435,7 @@ pub fn run_baseline(spec: &BaselineSpec) -> String {
             first_result = Some(result);
         }
     }
-    // uniq-analyzer: allow(panic-safety) — thread_counts is never empty, so the loop above ran at least once
+    // thread_counts is never empty, so the loop above ran at least once
     let result = first_result.expect("at least one thread count");
     let deterministic = fingerprints.iter().all(|&f| f == fingerprints[0]);
     quality.push((

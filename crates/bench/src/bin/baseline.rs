@@ -177,7 +177,7 @@ fn main() {
             });
             println!("baseline written to {out}");
             append_ledger(
-                // uniq-analyzer: allow(panic-safety) — run_baseline emits its own JSON; a parse failure is a bug worth a crash
+                // run_baseline emits its own JSON; a parse failure is a bug worth a crash
                 &Json::parse(&doc).expect("self-emitted baseline JSON"),
                 &opts,
             );
@@ -192,7 +192,7 @@ fn main() {
             });
             println!("blessed {BASELINE_FILE} — review the diff before committing");
             append_ledger(
-                // uniq-analyzer: allow(panic-safety) — run_baseline emits its own JSON; a parse failure is a bug worth a crash
+                // run_baseline emits its own JSON; a parse failure is a bug worth a crash
                 &Json::parse(&doc).expect("self-emitted baseline JSON"),
                 &opts,
             );
@@ -209,7 +209,7 @@ fn main() {
                 None => {
                     println!("running the pinned workload matrix…");
                     let doc = run_baseline(&BaselineSpec::pinned());
-                    // uniq-analyzer: allow(panic-safety) — run_baseline emits its own JSON; a parse failure is a bug worth a crash
+                    // run_baseline emits its own JSON; a parse failure is a bug worth a crash
                     let parsed = Json::parse(&doc).expect("self-emitted baseline JSON");
                     append_ledger(&parsed, &opts);
                     parsed

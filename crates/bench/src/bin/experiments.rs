@@ -11,11 +11,6 @@
 use uniq_bench::experiments::*;
 use uniq_bench::timings::{TimingLog, TimingMeta};
 
-/// Installed so the `alloc-profile` experiment can attribute allocations;
-/// recording stays off for every other target.
-#[global_allocator]
-static ALLOC: uniq_memprof::CountingAllocator = uniq_memprof::CountingAllocator::new();
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let targets: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
@@ -32,7 +27,6 @@ fn main() {
             "extensions",
             "batch",
             "robustness",
-            "alloc-profile",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -71,11 +65,6 @@ fn main() {
             }
             "batch" => {
                 timings.time("batch", batch_scaling::run);
-            }
-            "alloc-profile" => {
-                timings.time("alloc-profile", || {
-                    alloc_profile::run();
-                });
             }
             "store" => {
                 timings.time("store", store_scaling::run);

@@ -4,7 +4,6 @@
 //! prints the paper-shaped result table, and writes CSV artifacts.
 
 pub mod ablations;
-pub mod alloc_profile;
 pub mod batch_scaling;
 pub mod extensions;
 pub mod fig16;

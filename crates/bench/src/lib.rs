@@ -14,7 +14,6 @@
 //! writes CSV into `bench_results/`. Criterion micro-benchmarks live in
 //! `benches/`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;

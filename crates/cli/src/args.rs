@@ -32,6 +32,8 @@ fn listed(list: &str, key: &str) -> bool {
 pub enum ArgError {
     /// No subcommand given.
     MissingCommand,
+    /// A subcommand the parser's flag table does not know.
+    UnknownCommand(String),
     /// An option that needs a value didn't get one.
     MissingValue(String),
     /// A required option is absent.
@@ -47,12 +49,15 @@ pub enum ArgError {
     },
     /// A flag given more than once.
     DuplicateFlag(String),
+    /// A positional argument where only flags may follow.
+    Unexpected(String),
 }
 
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
+            ArgError::UnknownCommand(c) => write!(f, "unknown command {c:?}"),
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::Required(k) => write!(f, "required option --{k} missing"),
             ArgError::BadValue(k, v) => write!(f, "bad value {v:?} for --{k}"),
@@ -60,6 +65,7 @@ impl std::fmt::Display for ArgError {
                 write!(f, "unknown option --{flag} for {command:?}")
             }
             ArgError::DuplicateFlag(k) => write!(f, "option --{k} given more than once"),
+            ArgError::Unexpected(v) => write!(f, "unexpected argument {v:?}"),
         }
     }
 }
@@ -69,16 +75,20 @@ impl std::error::Error for ArgError {}
 impl Args {
     /// Parses raw arguments (without the program name): the subcommand,
     /// then only the flags `flags(subcommand)` accepts, each at most once.
-    pub fn parse(raw: &[String], flags: impl Fn(&str) -> FlagSet) -> Result<Args, ArgError> {
+    /// `flags` returns `None` for a subcommand that does not exist.
+    pub fn parse(
+        raw: &[String],
+        flags: impl Fn(&str) -> Option<FlagSet>,
+    ) -> Result<Args, ArgError> {
         let mut it = raw.iter();
         let command = it.next().ok_or(ArgError::MissingCommand)?.clone();
-        let accepted = flags(&command);
+        let accepted = flags(&command).ok_or_else(|| ArgError::UnknownCommand(command.clone()))?;
         let mut options = BTreeMap::new();
         let mut switches = Vec::new();
         while let Some(tok) = it.next() {
             let key = tok
                 .strip_prefix("--")
-                .ok_or_else(|| ArgError::BadValue("<positional>".into(), tok.clone()))?;
+                .ok_or_else(|| ArgError::Unexpected(tok.clone()))?;
             if options.contains_key(key) || switches.iter().any(|s| s == key) {
                 return Err(ArgError::DuplicateFlag(key.to_string()));
             }
@@ -150,7 +160,7 @@ mod tests {
 
     fn parse(s: &str) -> Result<Args, ArgError> {
         let raw: Vec<String> = s.split_whitespace().map(String::from).collect();
-        Args::parse(&raw, |_| FLAGS)
+        Args::parse(&raw, |command| (command != "frobnicate").then_some(FLAGS))
     }
 
     #[test]
@@ -173,6 +183,14 @@ mod tests {
     #[test]
     fn missing_command_rejected() {
         assert_eq!(parse("").unwrap_err(), ArgError::MissingCommand);
+    }
+
+    #[test]
+    fn unknown_command_rejected() {
+        assert_eq!(
+            parse("frobnicate --seed 1").unwrap_err(),
+            ArgError::UnknownCommand("frobnicate".into())
+        );
     }
 
     #[test]
@@ -213,6 +231,14 @@ mod tests {
             parse("personalize --verbose").unwrap_err(),
             ArgError::UnknownFlag { .. }
         ));
+    }
+
+    #[test]
+    fn extra_positionals_rejected() {
+        assert_eq!(
+            parse("personalize extra --seed 1").unwrap_err(),
+            ArgError::Unexpected("extra".into())
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use uniq_telemetry::ledger::{self, LedgerRecord};
 /// wrapper, which adds the fault-plan flags to `personalize`). Every
 /// command takes `--trace` and `--record DIR`; anything else is an
 /// [`crate::args::ArgError::UnknownFlag`].
-pub fn flags(command: &str, faulted: bool) -> FlagSet {
+pub fn flags(command: &str, faulted: bool) -> Option<FlagSet> {
     const RUN: &str = "seed out grid snr history record";
     let (options, switches) = match (command, faulted) {
         ("personalize", false) => (RUN, "anechoic trace"),
@@ -40,9 +40,10 @@ pub fn flags(command: &str, faulted: bool) -> FlagSet {
             "addr subjects seed clients repeat grid snr history record",
             "anechoic no-cache shutdown trace",
         ),
-        _ => ("", ""),
+        ("help" | "--help", _) => ("", ""),
+        _ => return None,
     };
-    FlagSet { options, switches }
+    Some(FlagSet { options, switches })
 }
 
 /// Runs a parsed command; returns a human-readable report or an error
@@ -154,15 +155,21 @@ fn write_record(dir: &Path, report: &RecordReport) -> Result<(), String> {
     Ok(())
 }
 
-/// `uniq analyze [OPTIONS]`: runs the whole-workspace static analyzer
-/// (the same driver as the standalone `uniq-analyzer check`). Exit 0 =
-/// clean, 1 = unsuppressed error findings, 2 = usage or I/O error.
-pub fn analyze_cmd(args: &[String]) -> i32 {
-    let usage = format!(
-        "usage: uniq analyze [OPTIONS]\n\nOPTIONS:\n{}",
-        uniq_analyzer::cli::OPTIONS_HELP
-    );
-    uniq_analyzer::cli::run_check(args, &usage)
+/// Parses the `VERB FILE [--flag value …]` grammar of `trace` and
+/// `history` through the shared strict parser: FILE is the one
+/// positional, and `flags` names the verbs and the flags each accepts,
+/// each at most once. Anything else is a usage error.
+fn parse_verb_file(
+    args: &[String],
+    flags: impl Fn(&str) -> Option<FlagSet>,
+) -> Result<(Args, &str), String> {
+    let file = args.get(1).filter(|file| !file.starts_with("--"));
+    let (Some(verb), Some(file)) = (args.first(), file) else {
+        return Err("expected a verb and a FILE".into());
+    };
+    let rest: Vec<String> = std::iter::once(verb).chain(&args[2..]).cloned().collect();
+    let parsed = Args::parse(&rest, flags).map_err(|e| e.to_string())?;
+    Ok((parsed, file))
 }
 
 /// `uniq trace report FILE`: rebuilds the causal span tree of a recorded
@@ -171,13 +178,13 @@ pub fn analyze_cmd(args: &[String]) -> i32 {
 /// unreadable trace, 2 = usage error.
 pub fn trace_cmd(args: &[String]) -> i32 {
     const USAGE: &str = "usage: uniq trace report FILE";
-    if args.first().map(String::as_str) != Some("report") {
-        eprintln!("error: trace supports `report`\n{USAGE}");
-        return 2;
-    }
-    let Some(path) = args.get(1) else {
-        eprintln!("error: trace report needs a FILE\n{USAGE}");
-        return 2;
+    let verbs = |verb: &str| (verb == "report").then(FlagSet::default);
+    let path = match parse_verb_file(args, verbs) {
+        Ok((_, path)) => path,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return 2;
+        }
     };
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -209,43 +216,34 @@ pub fn trace_cmd(args: &[String]) -> i32 {
 /// `uniq history trend|compare FILE [--quality-tol X] [--latency-tol X]`:
 /// the cross-run ledger gates. `trend` tests the newest record against
 /// the median/MAD of its label's history; `compare` diffs the last two
-/// records of that label. Exit 0 = clean, 1 = latency warning,
-/// 2 = quality regression or usage error.
+/// records of that label. Tolerances are finite and non-negative. Exit
+/// 0 = clean, 1 = latency warning, 2 = quality regression or usage error.
 pub fn history_cmd(args: &[String]) -> i32 {
     const USAGE: &str =
         "usage: uniq history trend|compare FILE [--quality-tol X] [--latency-tol X]";
-    let Some(mode) = args.first().map(String::as_str) else {
-        eprintln!("error: history needs a subcommand\n{USAGE}");
-        return 2;
+    let tolerance = |parsed: &Args, key: &str, default: f64| match parsed.get_f64(key, default) {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        Ok(v) => Err(format!("--{key} must be finite and non-negative, got {v}")),
+        Err(e) => Err(e.to_string()),
     };
-    if mode != "trend" && mode != "compare" {
-        eprintln!("error: history supports `trend` and `compare`\n{USAGE}");
-        return 2;
-    }
-    let Some(path) = args.get(1) else {
-        eprintln!("error: history {mode} needs a FILE\n{USAGE}");
-        return 2;
+    let verbs = |verb: &str| {
+        matches!(verb, "trend" | "compare").then_some(FlagSet {
+            options: "quality-tol latency-tol",
+            switches: "",
+        })
     };
-    let mut quality_tol = ledger::DEFAULT_QUALITY_TOL;
-    let mut latency_tol = ledger::DEFAULT_LATENCY_TOL;
-    let mut it = args[2..].iter();
-    while let Some(flag) = it.next() {
-        let target = match flag.as_str() {
-            "--quality-tol" => &mut quality_tol,
-            "--latency-tol" => &mut latency_tol,
-            other => {
-                eprintln!("error: unknown history option {other:?}\n{USAGE}");
-                return 2;
-            }
-        };
-        match it.next().and_then(|v| v.parse::<f64>().ok()) {
-            Some(v) => *target = v,
-            None => {
-                eprintln!("error: {flag} needs a numeric value\n{USAGE}");
-                return 2;
-            }
+    let parsed = parse_verb_file(args, verbs).and_then(|(parsed, path)| {
+        let quality = tolerance(&parsed, "quality-tol", ledger::DEFAULT_QUALITY_TOL)?;
+        let latency = tolerance(&parsed, "latency-tol", ledger::DEFAULT_LATENCY_TOL)?;
+        Ok((parsed.command, path, quality, latency))
+    });
+    let (mode, path, quality_tol, latency_tol) = match parsed {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return 2;
         }
-    }
+    };
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -260,7 +258,7 @@ pub fn history_cmd(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let report = match mode {
+    let report = match mode.as_str() {
         "trend" => ledger::trend(&records, quality_tol, latency_tol),
         _ => ledger::compare_last_two(&records, quality_tol, latency_tol),
     };
@@ -324,16 +322,17 @@ pub fn store_cmd(args: &[String]) -> i32 {
 }
 
 /// The flags each store verb accepts.
-fn store_flags(verb: &str) -> FlagSet {
+fn store_flags(verb: &str) -> Option<FlagSet> {
     let (options, switches) = match verb {
         "put" => ("store seed grid snr history", "anechoic"),
         "get" => ("store key out table", ""),
         "ls" | "verify" => ("store", ""),
         "export" => ("store key out", ""),
         "import" => ("store table seed", ""),
-        _ => ("", ""),
+        "help" | "--help" => ("", ""),
+        _ => return None,
     };
-    FlagSet { options, switches }
+    Some(FlagSet { options, switches })
 }
 
 /// A store verb's failure, split by exit-code tier: bad invocation (2)
@@ -872,12 +871,6 @@ pub fn usage() -> String {
      \x20     clients, fraction R re-requested to exercise the cache; prints\n\
      \x20     throughput + p50/p99 latency; --shutdown stops the server after\n\
      \n\
-     quality gates:\n\
-     \x20 analyze [--strict] [--format text|json] [--out FILE] [--threads N]\n\
-     \x20     whole-workspace static analysis: line-local rules plus the\n\
-     \x20     call-graph determinism / panic-reachability / lock-order /\n\
-     \x20     hot-path-allocation lints (exit 1 on findings)\n\
-     \n\
      observability (any command):\n\
      \x20 --trace              live span tree on stderr + the recorded per-stage table\n\
      \x20 --record DIR         write every recorded view into DIR: trace.jsonl (event\n\
@@ -907,7 +900,8 @@ pub fn usage() -> String {
      \x20     gyro-dropout gyro-sat jitter dup reorder; trailing ~ = transient\n\
      \x20     (heals on retry)\n\
      \n\
-     Unknown or repeated flags are usage errors (exit 2).\n"
+     Unknown commands, stray arguments and unknown or repeated flags are\n\
+     usage errors (exit 2).\n"
         .to_string()
 }
 
@@ -1230,10 +1224,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_command_shows_usage() {
-        let err = run(&argv("frobnicate")).unwrap_err();
-        assert!(err.contains("unknown command"));
-        assert!(err.contains("personalize"));
+    fn unknown_command_is_a_parse_error() {
+        let raw = vec!["frobnicate".to_string()];
+        let err = Args::parse(&raw, |command| flags(command, false)).unwrap_err();
+        assert_eq!(err.to_string(), "unknown command \"frobnicate\"");
     }
 
     #[test]

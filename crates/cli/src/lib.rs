@@ -12,7 +12,6 @@
 //! The argument parser is intentionally tiny (flag/value pairs only) so
 //! the crate stays dependency-free.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

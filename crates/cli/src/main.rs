@@ -1,7 +1,5 @@
 //! The `uniq` command-line binary. See [`uniq_cli`] for the interface.
 
-#![forbid(unsafe_code)]
-
 use uniq_cli::args::Args;
 use uniq_cli::commands;
 
@@ -13,19 +11,16 @@ static ALLOC: uniq_memprof::CountingAllocator = uniq_memprof::CountingAllocator:
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    // `trace` and `history` take positional file arguments, which
-    // Args::parse rejects by design — they are dispatched on the raw argv
-    // before the `faults` wrapper is peeled. Their exit codes carry gate semantics
-    // (0 ok, 1 finding, 2 usage), so they exit directly.
+    // `trace` and `history` take a positional FILE after their verb, so
+    // they are dispatched on the raw argv before the `faults` wrapper is
+    // peeled. Their exit codes carry gate semantics (0 ok, 1 finding,
+    // 2 usage), so they exit directly.
     match raw.first().map(String::as_str) {
         Some("trace") => std::process::exit(commands::trace_cmd(&raw[1..])),
         Some("history") => std::process::exit(commands::history_cmd(&raw[1..])),
         // `store` owns a verb sub-grammar (put/get/ls/verify/export/import)
         // with its own 0/1/2 exit contract, dispatched the same way.
         Some("store") => std::process::exit(commands::store_cmd(&raw[1..])),
-        // `analyze` takes the analyzer's own option grammar and shares
-        // its 0/1/2 gate contract.
-        Some("analyze") => std::process::exit(commands::analyze_cmd(&raw[1..])),
         _ => {}
     }
     // `faults` wraps `personalize` (`uniq faults personalize …`), so it is

@@ -1,6 +1,7 @@
 //! End-to-end checks of the `uniq` binary's observability surface: one
-//! `--record DIR` writes every view, and retired or misspelled flags are
-//! usage errors (exit 2) instead of being silently ignored.
+//! `--record DIR` writes every view, and retired or misspelled flags,
+//! stray arguments and retired verbs are usage errors (exit 2) instead of
+//! being silently ignored.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -132,4 +133,66 @@ fn retired_and_misspelled_flags_exit_2() {
         let out = uniq(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
     }
+}
+
+#[test]
+fn trace_and_history_argv_is_strict() {
+    // A readable (empty) trace and ledger, so each well-formed call exits
+    // 0 and every exit 2 below comes from the argument check alone.
+    let file = std::env::temp_dir().join(format!("uniq_strict_argv_{}", std::process::id()));
+    std::fs::write(&file, "").unwrap();
+    let file = file.display().to_string();
+    let f = file.as_str();
+    for ok in [
+        vec!["trace", "report", f],
+        vec!["history", "trend", f, "--quality-tol", "0.5"],
+        vec![
+            "history",
+            "compare",
+            f,
+            "--latency-tol",
+            "1",
+            "--quality-tol",
+            "0",
+        ],
+    ] {
+        let out = uniq(&ok);
+        assert_eq!(out.status.code(), Some(0), "{ok:?}: {}", stderr(&out));
+    }
+    let usage_errors: [&[&str]; 13] = [
+        &["trace", "report", f, "junk", "--bogus"],
+        &["trace", "report", f, "--bogus"],
+        &["trace", "report"],
+        &["trace", "summary", f],
+        &["history", "trend", f, "--quality-tol", "nan"],
+        &[
+            "history",
+            "trend",
+            f,
+            "--quality-tol",
+            "nan",
+            "--quality-tol",
+            "1",
+        ],
+        &[
+            "history",
+            "trend",
+            f,
+            "--quality-tol",
+            "1",
+            "--quality-tol",
+            "1",
+        ],
+        &["history", "trend", f, "--latency-tol", "-0.5"],
+        &["history", "compare", f, "--latency-tol", "inf"],
+        &["history", "compare", f, "extra"],
+        &["history", "trend", "--quality-tol", "1"],
+        &["history", "median", f],
+        &["analyze"],
+    ];
+    for args in usage_errors {
+        let out = uniq(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+    }
+    std::fs::remove_file(f).ok();
 }

@@ -80,9 +80,15 @@ pub fn estimate_known_source(
         cfg.channel_len,
         &pool,
     );
-    // uniq-analyzer: allow(panic-safety) — par_map returns exactly one output per input; the batch above has two
+    #[expect(
+        clippy::expect_used,
+        reason = "par_map returns exactly one output per input; the batch above has two"
+    )]
     let ch_right = chans.pop().expect("batch of two");
-    // uniq-analyzer: allow(panic-safety) — same two-element batch; second pop cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "same two-element batch; second pop cannot fail"
+    )]
     let ch_left = chans.pop().expect("batch of two");
 
     let t0 = match (

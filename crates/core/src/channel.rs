@@ -163,9 +163,15 @@ pub fn estimate_channel(
         cfg.channel_len,
         &pool,
     );
-    // uniq-analyzer: allow(panic-safety) — par_map returns exactly one output per input; the batch above has two
+    #[expect(
+        clippy::expect_used,
+        reason = "par_map returns exactly one output per input; the batch above has two"
+    )]
     let raw_right = raw.pop().expect("batch of two");
-    // uniq-analyzer: allow(panic-safety) — same two-element batch; second pop cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "same two-element batch; second pop cannot fail"
+    )]
     let raw_left = raw.pop().expect("batch of two");
 
     let comp_left =

@@ -229,7 +229,6 @@ pub fn fuse_weighted(
                 }
                 // Eq. 3: average the acoustic and inertial angles — along
                 // the shorter arc, so 359° and 1° blend to 0°, not 180°.
-                // uniq-analyzer: allow(hot-path-alloc) — every push in this loop lands in a Vec pre-sized with with_capacity(inputs.len()); no reallocation inside the span
                 final_thetas.push(circular_blend(inp.alpha_deg, loc.theta_deg, 0.5));
                 stops.push(loc);
                 localized += 1;

@@ -224,7 +224,10 @@ pub fn run_session_3d(
     per_ring: usize,
     seed: u64,
 ) -> Result<Vec<StopMeasurement3>, ChannelError> {
-    // uniq-analyzer: allow(panic-safety) — defensive re-check: public entry points (run_session, personalize) validate first and return ConfigError
+    #[expect(
+        clippy::expect_used,
+        reason = "defensive re-check: public entry points (run_session, personalize) validate first and return ConfigError"
+    )]
     cfg.validate().expect("invalid UniqConfig");
     let head3 = Head3::new(subject.head, 0.105 + (subject.id % 7) as f64 * 0.002);
     let renderer = Renderer3::new(
@@ -254,9 +257,12 @@ pub fn run_session_3d(
     for (i, stop) in stops.iter().enumerate() {
         // Index of this stop in the full trajectory (by time).
         let idx = ((stop.t / dt).round() as usize).min(traj.len() - 1);
+        #[expect(
+            clippy::expect_used,
+            reason = "ring stops are generated on a sphere strictly outside the head radius"
+        )]
         let ir = renderer
             .render_point(stop.pos)
-            // uniq-analyzer: allow(panic-safety) — ring stops are generated on a sphere strictly outside the head radius
             .expect("gesture stays outside the head");
         let emitted = setup.system.apply(&probe);
         let mut rec = BinauralRecording {

@@ -245,6 +245,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test files are written under the temp dir"
+    )]
     fn file_roundtrip() {
         let t = table();
         let dir = std::env::temp_dir().join("uniq_io_test");

@@ -55,7 +55,11 @@
 //! * [`sync`] — phone–earphone clock-offset estimation via a one-touch
 //!   calibration (the synchronization the paper assumes).
 
-#![forbid(unsafe_code)]
+// A result crate: its output feeds the evaluation numbers, so it must
+// be deterministic and panic-free (DESIGN.md §9).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 pub mod aoa;

@@ -226,9 +226,10 @@ pub mod attempts {
 
     /// Eigenvalues of a symmetric matrix by cyclic Jacobi rotations
     /// (destroys the input).
-    // Index-based loops mirror the textbook Jacobi formulation; the p/q/k
-    // row-column symmetry would be lost in iterator form.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index loops mirror the textbook Jacobi formulation; the p/q/k row-column symmetry would be lost in iterator form"
+    )]
     fn symmetric_eigenvalues(g: &mut [Vec<f64>]) -> Vec<f64> {
         let n = g.len();
         for _sweep in 0..60 {

@@ -146,6 +146,7 @@ pub fn run_session(
         ctx.run_indexed(i as u64, || {
             let stop = &prep.stops[i];
             let idx = i * (prep.traj.len() - 1) / (cfg.stops - 1);
+            #[expect(clippy::expect_used, reason = "stop positions come from the gesture sampler, which clamps every point outside the head boundary")]
             let rec = record_point_source(
                 &prep.renderer,
                 &prep.setup,
@@ -153,7 +154,6 @@ pub fn run_session(
                 &prep.probe,
                 seed.wrapping_add(100 + i as u64),
             )
-            // uniq-analyzer: allow(panic-safety) — stop positions come from the gesture sampler, which clamps every point outside the head boundary
             .expect("gesture trajectory stays outside the head");
             let channel = estimate_channel(&rec, &prep.probe, &prep.system_ir, cfg)
                 .map_err(|error| SessionError::Stop { stop: i, error })?;
@@ -318,7 +318,6 @@ pub fn run_session_faulted(
 /// One stop's capture → corrupt → estimate → score loop under the
 /// degradation policy. Pure given its arguments, so the faulted session
 /// stays bit-identical at any thread count.
-#[allow(clippy::type_complexity)]
 fn degrade_stop(
     i: usize,
     prep: &PreparedSession,
@@ -355,6 +354,10 @@ fn degrade_stop(
             attempt,
             sample_rate: cfg.render.sample_rate,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "stop positions come from the gesture sampler, which clamps every point outside the head boundary"
+        )]
         let (rec, injected) = record_point_source_injected(
             &prep.renderer,
             &prep.setup,
@@ -364,7 +367,6 @@ fn degrade_stop(
             site,
             hook as &dyn RecordingInjector,
         )
-        // uniq-analyzer: allow(panic-safety) — stop positions come from the gesture sampler, which clamps every point outside the head boundary
         .expect("gesture trajectory stays outside the head");
         faults.extend(injected);
         match estimate_channel(&rec, &prep.probe, &prep.system_ir, cfg) {

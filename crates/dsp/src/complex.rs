@@ -127,9 +127,10 @@ impl Mul for Complex {
 
 impl Div for Complex {
     type Output = Complex;
-    // Division via the reciprocal is intentional: one conjugate-multiply
-    // plus a scalar divide, the standard complex-division formulation.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "division via the reciprocal is the standard complex-division formulation"
+    )]
     #[inline]
     fn div(self, rhs: Complex) -> Complex {
         self * rhs.recip()

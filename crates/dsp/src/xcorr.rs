@@ -30,11 +30,11 @@ pub fn xcorr_peak_lag(a: &[f64], b: &[f64]) -> (isize, f64) {
     if r.is_empty() {
         return (0, 0.0);
     }
+    #[expect(clippy::expect_used, reason = "r is non-empty: checked three lines up")]
     let (idx, &val) = r
         .iter()
         .enumerate()
         .max_by(|x, y| x.1.total_cmp(y.1))
-        // uniq-analyzer: allow(panic-safety) — r is non-empty: checked three lines up
         .expect("non-empty");
     // Index b.len()-1 is zero lag; larger index means a leads b, i.e. b is
     // delayed by (idx - (b.len()-1)) samples *negatively*. We define the
@@ -51,11 +51,11 @@ pub fn xcorr_peak_lag_subsample(a: &[f64], b: &[f64]) -> f64 {
     if r.is_empty() {
         return 0.0;
     }
+    #[expect(clippy::expect_used, reason = "r is non-empty: checked three lines up")]
     let (idx, _) = r
         .iter()
         .enumerate()
         .max_by(|x, y| x.1.total_cmp(y.1))
-        // uniq-analyzer: allow(panic-safety) — r is non-empty: checked three lines up
         .expect("non-empty");
     let zero = b.len() as f64 - 1.0;
     if idx == 0 || idx + 1 >= r.len() {

@@ -71,8 +71,11 @@ impl ConvexPolygon {
     }
 
     /// Perimeter length.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor rejects polygons with fewer than 3 vertices, so cum is never empty"
+    )]
     pub fn perimeter(&self) -> f64 {
-        // uniq-analyzer: allow(panic-safety) — the constructor rejects polygons with fewer than 3 vertices, so cum is never empty
         *self.cum.last().expect("non-empty")
     }
 

@@ -68,7 +68,10 @@ impl Vec3 {
     /// Difference. Method form keeps `Vec3` consistent with the rest of its
     /// call-style API (`scale`, `dist`, `dot`) without pulling in operator
     /// impls for the 3-D prototype.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "method form matches the call-style API of the 3-D prototype"
+    )]
     pub fn sub(self, o: Vec3) -> Vec3 {
         Vec3::new(self.x - o.x, self.y - o.y, self.z - o.z)
     }
@@ -241,9 +244,15 @@ impl Vec3 {
 pub fn plane_itd_3d(head: &Head3, theta_deg: f64, elevation_deg: f64) -> f64 {
     const FAR: f64 = 100.0;
     let src = Vec3::from_angles(theta_deg, elevation_deg).scale(FAR);
-    // uniq-analyzer: allow(panic-safety) — the source sits 100 m out; no head model approaches that radius
+    #[expect(
+        clippy::expect_used,
+        reason = "the source sits 100 m out; no head model approaches that radius"
+    )]
     let l = path_to_ear_3d(head, src, Ear::Left).expect("far source outside head");
-    // uniq-analyzer: allow(panic-safety) — same 100 m far-field source as the line above
+    #[expect(
+        clippy::expect_used,
+        reason = "same 100 m far-field source as the line above"
+    )]
     let r = path_to_ear_3d(head, src, Ear::Right).expect("far source outside head");
     r.length - l.length
 }

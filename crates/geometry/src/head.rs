@@ -151,7 +151,6 @@ impl HeadBoundary {
             .map(|k| params.boundary_point(2.0 * PI * k as f64 / n as f64))
             .collect();
         let mut cum = Vec::with_capacity(n + 1);
-        // uniq-analyzer: allow(hot-path-alloc) — cum is pre-sized with with_capacity(n + 1); the boundary is built once per fusion solve, not per sample
         cum.push(0.0);
         for k in 0..n {
             let next = verts[(k + 1) % n];
@@ -193,8 +192,11 @@ impl HeadBoundary {
     }
 
     /// Total boundary perimeter.
+    #[expect(
+        clippy::expect_used,
+        reason = "HeadBoundary::new always discretizes to at least 8 vertices"
+    )]
     pub fn perimeter(&self) -> f64 {
-        // uniq-analyzer: allow(panic-safety) — HeadBoundary::new always discretizes to at least 8 vertices
         *self.cum.last().expect("non-empty cum")
     }
 
@@ -223,13 +225,16 @@ impl HeadBoundary {
     }
 
     /// Index of the boundary vertex closest to `p`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the boundary constructor guarantees at least 3 vertices"
+    )]
     pub fn nearest_vertex(&self, p: Vec2) -> usize {
         self.verts
             .iter()
             .enumerate()
             .min_by(|(_, u), (_, v)| u.dist(p).total_cmp(&v.dist(p)))
             .map(|(k, _)| k)
-            // uniq-analyzer: allow(panic-safety) — the boundary constructor guarantees at least 3 vertices
             .expect("non-empty boundary")
     }
 

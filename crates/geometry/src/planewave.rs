@@ -38,7 +38,10 @@ pub struct PlanePath {
 /// angle `theta_deg` (paper convention: 0° front, 90° left, 180° back).
 pub fn plane_path_to_ear(boundary: &HeadBoundary, theta_deg: f64, ear: Ear) -> PlanePath {
     let src = unit_from_theta(theta_deg) * FAR_DISTANCE;
-    // uniq-analyzer: allow(panic-safety) — FAR_DISTANCE is 100 m; no head model approaches that radius
+    #[expect(
+        clippy::expect_used,
+        reason = "FAR_DISTANCE is 100 m; no head model approaches that radius"
+    )]
     let p = path_to_ear(boundary, src, ear).expect("far source cannot be inside the head");
     PlanePath {
         excess: p.length - FAR_DISTANCE,

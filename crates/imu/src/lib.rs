@@ -19,7 +19,11 @@
 //! * [`trajectory3d`] — serpentine spherical gestures for the §7 3-D
 //!   extension (azimuth + elevation sweeps over multiple rings).
 
-#![forbid(unsafe_code)]
+// A result crate: its output feeds the evaluation numbers, so it must
+// be deterministic and panic-free (DESIGN.md §9).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 pub mod gyro;

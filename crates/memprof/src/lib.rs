@@ -159,6 +159,10 @@ impl CountingAllocator {
     }
 }
 
+#[expect(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; every method forwards to System"
+)]
 // SAFETY: every method forwards the caller's request verbatim to
 // `System`, which upholds the `GlobalAlloc` contract; the recording side
 // only touches static atomics and const-initialized thread-locals and

@@ -195,31 +195,6 @@ impl AllocSnapshot {
         ));
         out
     }
-
-    /// CSV export (one row per stage plus the synthetic rows), the format
-    /// the `alloc-profile` experiment writes to `bench_results/`.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("stage,allocs,bytes,frees,freed_bytes,peak_live_bytes,largest_bytes\n");
-        let mut row = |label: &str, s: &StageAlloc| {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                label,
-                s.allocs,
-                s.bytes,
-                s.frees,
-                s.freed_bytes,
-                s.peak_live_bytes,
-                s.largest_bytes
-            ));
-        };
-        for (name, stats) in &self.stages {
-            row(name, stats);
-        }
-        row("(unattributed)", &self.unattributed);
-        row("(overflow)", &self.overflow);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -255,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_table_render_every_stage() {
+    fn table_renders_every_stage() {
         let mut snap = AllocSnapshot::default();
         snap.stages
             .insert("session".to_string(), StageAlloc::default());
@@ -267,10 +242,6 @@ mod tests {
                 ..StageAlloc::default()
             },
         );
-        let csv = snap.to_csv();
-        assert!(csv.starts_with("stage,allocs,bytes"));
-        assert!(csv.contains("fusion,1,64"));
-        assert!(csv.contains("(unattributed)"));
         let table = snap.render_table();
         assert!(table.contains("per-stage allocations:"));
         assert!(table.contains("fusion"));

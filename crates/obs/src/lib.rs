@@ -37,7 +37,10 @@
 //! assert_eq!(sink.counter_total("stage.retries"), 1);
 //! ```
 
-#![forbid(unsafe_code)]
+// Every result crate emits through this crate, so it is held to the
+// same panic rules (DESIGN.md §9); its clock reads are its job.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 pub mod alloc;
@@ -697,13 +700,12 @@ impl Drop for SpanGuard {
 
 /// A wall-clock stopwatch for timing that feeds observability.
 ///
-/// Result-producing crates are barred from `std::time` by
-/// `uniq-analyzer`'s `wall-clock` rule: a time read in a compute path
-/// can silently steer results. Timing that only *describes* a run —
-/// per-subject seconds, throughput sweeps — goes through this type
-/// instead, which keeps the clock access inside `uniq-obs` where the
-/// rule (and a reviewer) can see that no timestamp flows back into
-/// numerics.
+/// Result-producing crates are barred from `std::time` by clippy's
+/// `disallowed_types` (`crates/clippy.toml`): a time read in a compute
+/// path can silently steer results. Timing that only *describes* a run
+/// — per-subject seconds, throughput sweeps — goes through this type
+/// instead, which keeps the clock access inside `uniq-obs`, where code
+/// review can see that no timestamp flows back into numerics.
 ///
 /// ```
 /// let sw = uniq_obs::Stopwatch::start();
@@ -745,6 +747,18 @@ pub fn counter(name: &'static str, delta: u64) {
         return;
     }
     dispatch(&Event::Counter { name, delta });
+}
+
+/// Locks one of the crate's sink or recorder mutexes. Sinks never call
+/// back into user code while holding a lock, so a poisoned one means an
+/// observability bug panicked mid-update; its state can no longer be
+/// trusted, and the panic propagates.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned sink or recorder mutex is an unrecoverable obs bug, not an input error"
+)]
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().expect("uniq-obs mutex poisoned")
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! dashboard gap. `uniq-analyzer`'s `obs-metric-name` rule enforces the
 //! discipline: an inline string literal passed to
 //! [`metric`](crate::metric)/[`counter`](crate::counter) outside this
-//! crate is a diagnostic.
+//! crate is a finding.
 //!
 //! Naming scheme: `<stage>.<quantity>[_<unit>]`, dot-separated, all
 //! lowercase — matching the span names of the stages that emit them.
@@ -254,16 +254,6 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_SERVE_REQUEST,
     SPAN_LOADGEN_REQUEST,
 ];
-
-/// The spans whose enclosing code is a *hot path*: per-iteration work
-/// dominating wall time (fusion is ~97% of seed-6 profile; channel
-/// estimation runs once per stop inside it). `uniq-analyzer`'s
-/// `hot-path-alloc` rule seeds on span sites naming these constants and
-/// forbids per-call allocation in everything they transitively reach —
-/// the scratch-arena discipline the upcoming SIMD/planned-FFT rewrite
-/// will be held to. The analyzer reads this list textually from this
-/// file, so extending it retunes the gate without touching the analyzer.
-pub const HOT_PATH_SPANS: &[&str] = &[SPAN_FUSION, SPAN_CHANNEL_ESTIMATE];
 
 /// The spans every successful `personalize` run must traverse — the
 /// stage-coverage contract the `verify-profile` CI smoke asserts on a

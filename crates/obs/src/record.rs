@@ -35,7 +35,7 @@ use crate::names::{
     ALL_SPANS, BATCH_SUBJECT_SECONDS, OBS_TELEMETRY_OVERHEAD_NS, SERVE_REQUEST_SECONDS,
 };
 use crate::sink::{human_duration, json_escape, json_number, Sink};
-use crate::{Event, Stopwatch};
+use crate::{lock, Event, Stopwatch};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -243,7 +243,7 @@ impl Recorder {
     /// order. The recorder's own cost appears as the
     /// `obs.telemetry_overhead_ns` metric.
     pub fn report(&self) -> RecordReport {
-        let state = self.state.lock().expect("recorder poisoned");
+        let state = lock(&self.state);
         let mut stages: Vec<StageProfile> = state
             .stages
             .iter()
@@ -306,7 +306,7 @@ impl Recorder {
 impl Sink for Recorder {
     fn on_event(&self, event: &Event) {
         let sw = Stopwatch::start();
-        let mut state = self.state.lock().expect("recorder poisoned");
+        let mut state = lock(&self.state);
         state.record(event);
         state.overhead_ns += (sw.elapsed_seconds() * 1e9) as u64;
     }

@@ -1,7 +1,7 @@
 //! The [`Sink`] trait and its four shipped implementations, plus
 //! [`MultiSink`] for fan-out.
 
-use crate::Event;
+use crate::{lock, Event};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -208,13 +208,13 @@ impl Sink for JsonLinesSink {
                 json_escape(unit)
             ),
         };
-        let mut out = self.out.lock().expect("jsonl writer poisoned");
+        let mut out = lock(&self.out);
         // I/O errors on a diagnostics channel must not kill the pipeline.
         let _ = writeln!(out, "{line}");
     }
 
     fn flush(&self) {
-        let mut out = self.out.lock().expect("jsonl writer poisoned");
+        let mut out = lock(&self.out);
         let _ = out.flush();
     }
 }
@@ -233,7 +233,7 @@ impl MemorySink {
 
     /// All events, in arrival order.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("memory sink poisoned").clone()
+        lock(&self.events).clone()
     }
 
     /// `(name, depth)` of every [`Event::SpanStart`], in order — the span
@@ -284,10 +284,7 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn on_event(&self, event: &Event) {
-        self.events
-            .lock()
-            .expect("memory sink poisoned")
-            .push(event.clone());
+        lock(&self.events).push(event.clone());
     }
 }
 

@@ -14,7 +14,11 @@
 //! * [`solve_2d`] — damped Gauss–Newton for 2-D root finding (iso-delay
 //!   curve intersection, Fig 10(b)).
 
-#![forbid(unsafe_code)]
+// A result crate: its output feeds the evaluation numbers, so it must
+// be deterministic and panic-free (DESIGN.md §9).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 /// Options for [`nelder_mead`].
@@ -84,7 +88,6 @@ pub fn nelder_mead(f: impl Fn(&[f64]) -> f64, x0: &[f64], opts: &NelderMeadOptio
     let scale = x0.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
     let floor = opts.initial_step * 0.05 * (1.0 + scale);
     let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n + 1);
-    // uniq-analyzer: allow(hot-path-alloc) — the optimizer allocates a handful of n-element points (n = 3 head parameters) per iteration, once per fusion solve — not in the per-sample path
     simplex.push((x0.to_vec(), eval(x0)));
     for i in 0..n {
         let mut x = x0.to_vec();

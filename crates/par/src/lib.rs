@@ -43,6 +43,11 @@
 //!    the per-stage profile entirely.
 
 #![warn(missing_docs)]
+// Every result crate runs on this pool, so it is held to the same
+// determinism and panic rules (DESIGN.md §9).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod pool;
 mod scope;
@@ -50,7 +55,7 @@ mod scope;
 pub use pool::ThreadPool;
 pub use scope::Scope;
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, OnceLock};
 
 /// Hard cap on pool size: guards against absurd `UNIQ_THREADS` values.
 pub const MAX_THREADS: usize = 256;
@@ -68,17 +73,37 @@ pub fn threads_from_env(value: Option<&str>) -> Option<usize> {
 /// The process-wide default parallelism: `UNIQ_THREADS` if set and valid,
 /// otherwise `std::thread::available_parallelism()`. Computed once and
 /// cached for the life of the process.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UNIQ_THREADS and the machine's parallelism pick the pool width only; \
+              par_map output is index-ordered and bit-identical at any width"
+)]
 pub fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        // uniq-analyzer: allow(determinism-taint) — UNIQ_THREADS picks the pool width only; par_map output is index-ordered and bit-identical at any width
         threads_from_env(std::env::var("UNIQ_THREADS").ok().as_deref()).unwrap_or_else(|| {
-            // uniq-analyzer: allow(determinism-taint) — machine parallelism picks the pool width only; results never depend on it
             std::thread::available_parallelism()
                 .map(|n| n.get().min(MAX_THREADS))
                 .unwrap_or(1)
         })
     })
+}
+
+/// Unwraps the result of locking (or waiting on) one of the pool's
+/// mutexes. Tasks run under `catch_unwind`, so a poisoned pool mutex
+/// means the pool's own bookkeeping panicked mid-update; its queues can
+/// no longer be trusted, and the panic propagates.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned pool mutex is an unrecoverable pool bug, not an input error"
+)]
+pub(crate) fn unpoisoned<T>(result: LockResult<T>) -> T {
+    result.expect("uniq-par mutex poisoned")
+}
+
+/// Locks one of the pool's mutexes; see [`unpoisoned`].
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    unpoisoned(mutex.lock())
 }
 
 /// Returns the shared pool of the requested size, creating it on first
@@ -96,11 +121,7 @@ pub fn pool(threads: usize) -> Arc<ThreadPool> {
     // Registry growth and pool construction (worker stacks, queues) are
     // one-time infrastructure cost, not stage work.
     let _quiet = uniq_obs::suspend_alloc_stage();
-    let mut pools = POOLS
-        // uniq-analyzer: allow(hot-path-alloc) — the registry Vec is built once per process (and grown once per distinct pool size); steady-state calls only read it
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("pool registry poisoned");
+    let mut pools = lock(POOLS.get_or_init(|| Mutex::new(Vec::new())));
     if let Some((_, p)) = pools.iter().find(|(size, _)| *size == n) {
         return p.clone();
     }

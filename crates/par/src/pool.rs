@@ -6,6 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::scope::{Scope, ScopeState};
+use crate::{lock, unpoisoned};
 
 /// A unit of queued work. Jobs are always the panic-catching wrappers
 /// built by [`Scope::spawn`], so executing one never unwinds into the
@@ -48,19 +49,13 @@ impl Shared {
     fn push(&self, pool_id: usize, job: Job) {
         match WORKER.with(|w| w.get()) {
             Some((id, idx)) if id == pool_id => {
-                self.locals[idx]
-                    .lock()
-                    .expect("local queue poisoned")
-                    .push_back(job);
+                lock(&self.locals[idx]).push_back(job);
             }
             _ => {
-                self.injector
-                    .lock()
-                    .expect("injector poisoned")
-                    .push_back(job);
+                lock(&self.injector).push_back(job);
             }
         }
-        let mut sleep = self.sleep.lock().expect("sleep state poisoned");
+        let mut sleep = lock(&self.sleep);
         sleep.generation = sleep.generation.wrapping_add(1);
         drop(sleep);
         self.wake.notify_all();
@@ -70,15 +65,11 @@ impl Shared {
     /// injector, then stealing from the other workers (FIFO).
     pub(crate) fn find_job(&self, me: Option<usize>) -> Option<Job> {
         if let Some(idx) = me {
-            if let Some(job) = self.locals[idx]
-                .lock()
-                .expect("local queue poisoned")
-                .pop_back()
-            {
+            if let Some(job) = lock(&self.locals[idx]).pop_back() {
                 return Some(job);
             }
         }
-        if let Some(job) = self.injector.lock().expect("injector poisoned").pop_front() {
+        if let Some(job) = lock(&self.injector).pop_front() {
             return Some(job);
         }
         let n = self.locals.len();
@@ -88,11 +79,7 @@ impl Shared {
             if Some(victim) == me {
                 continue;
             }
-            if let Some(job) = self.locals[victim]
-                .lock()
-                .expect("local queue poisoned")
-                .pop_front()
-            {
+            if let Some(job) = lock(&self.locals[victim]).pop_front() {
                 return Some(job);
             }
         }
@@ -125,6 +112,11 @@ impl ThreadPool {
     /// [`ThreadPool::scope`] contributes the final lane by helping to run
     /// queued jobs while it waits, so a pool of size 1 spawns no threads
     /// at all.
+    #[expect(
+        clippy::expect_used,
+        reason = "failing to spawn a worker at pool construction is unrecoverable; \
+                  fail fast before any work is accepted"
+    )]
     pub fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
@@ -144,10 +136,8 @@ impl ThreadPool {
             .map(|idx| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
-                    // uniq-analyzer: allow(hot-path-alloc) — thread names are formatted once at pool construction; pools are cached per size for the life of the process
                     .name(format!("uniq-par-{id}-{idx}"))
                     .spawn(move || worker_loop(shared, id, idx))
-                    // uniq-analyzer: allow(panic-reachability) — failing to spawn a worker at pool construction is unrecoverable; fail fast before any work is accepted
                     .expect("spawn pool worker")
             })
             .collect();
@@ -166,7 +156,6 @@ impl ThreadPool {
     }
 
     pub(crate) fn inject(&self, job: Job) {
-        // uniq-analyzer: allow(hot-path-alloc) — queue submission, one per spawned job; the deque's capacity is amortized across the batch
         self.shared.push(self.id, job);
     }
 
@@ -273,7 +262,6 @@ impl ThreadPool {
                 Vec::with_capacity(items.len())
             };
             for item in items {
-                // uniq-analyzer: allow(hot-path-alloc) — pushes into Vecs pre-sized with with_capacity (here and per chunk below); never reallocates mid-batch
                 out.push(f(item));
             }
             return out;
@@ -295,15 +283,12 @@ impl ThreadPool {
                         values.push(f(item));
                     }
                     let _quiet = uniq_obs::suspend_alloc_stage();
-                    buckets
-                        .lock()
-                        .expect("par_map buckets poisoned")
-                        .push((index, values));
+                    lock(buckets).push((index, values));
                 });
             }
         });
         let _quiet = uniq_obs::suspend_alloc_stage();
-        let mut buckets = buckets.into_inner().expect("par_map buckets poisoned");
+        let mut buckets = unpoisoned(buckets.into_inner());
         // Ordered reduction: completion order is scheduling noise; index
         // order is the sequential truth.
         buckets.sort_unstable_by_key(|(index, _)| *index);
@@ -339,7 +324,7 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
-            let mut sleep = self.shared.sleep.lock().expect("sleep state poisoned");
+            let mut sleep = lock(&self.shared.sleep);
             sleep.shutdown = true;
             sleep.generation = sleep.generation.wrapping_add(1);
         }
@@ -358,7 +343,7 @@ fn worker_loop(shared: Arc<Shared>, pool_id: usize, index: usize) {
         // that races with the search bumps the generation and the sleep
         // below returns immediately.
         let seen = {
-            let sleep = shared.sleep.lock().expect("sleep state poisoned");
+            let sleep = lock(&shared.sleep);
             if sleep.shutdown {
                 return;
             }
@@ -368,9 +353,9 @@ fn worker_loop(shared: Arc<Shared>, pool_id: usize, index: usize) {
             job();
             continue;
         }
-        let mut sleep = shared.sleep.lock().expect("sleep state poisoned");
+        let mut sleep = lock(&shared.sleep);
         while sleep.generation == seen && !sleep.shutdown {
-            sleep = shared.wake.wait(sleep).expect("sleep state poisoned");
+            sleep = unpoisoned(shared.wake.wait(sleep));
         }
     }
 }
@@ -381,6 +366,10 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test asserts on thread identity"
+    )]
     fn single_thread_pool_runs_on_caller() {
         let pool = ThreadPool::new(1);
         let caller = std::thread::current().id();

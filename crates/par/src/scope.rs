@@ -7,6 +7,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::pool::{Job, ThreadPool};
+use crate::{lock, unpoisoned};
 
 /// Shared bookkeeping for one [`ThreadPool::scope`] call: how many
 /// spawned tasks are still outstanding, and the first panic any of them
@@ -27,11 +28,11 @@ impl ScopeState {
     }
 
     fn task_started(&self) {
-        *self.pending.lock().expect("scope pending poisoned") += 1;
+        *lock(&self.pending) += 1;
     }
 
     fn task_finished(&self) {
-        let mut pending = self.pending.lock().expect("scope pending poisoned");
+        let mut pending = lock(&self.pending);
         *pending -= 1;
         if *pending == 0 {
             self.done.notify_all();
@@ -39,7 +40,7 @@ impl ScopeState {
     }
 
     fn store_panic(&self, payload: Box<dyn Any + Send + 'static>) {
-        let mut slot = self.panic.lock().expect("scope panic slot poisoned");
+        let mut slot = lock(&self.panic);
         // Keep the first panic: with several failing tasks the earliest
         // arrival wins, and the rest are dropped like rayon does.
         if slot.is_none() {
@@ -48,24 +49,21 @@ impl ScopeState {
     }
 
     pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send + 'static>> {
-        self.panic.lock().expect("scope panic slot poisoned").take()
+        lock(&self.panic).take()
     }
 
     pub(crate) fn is_done(&self) -> bool {
-        *self.pending.lock().expect("scope pending poisoned") == 0
+        *lock(&self.pending) == 0
     }
 
     /// Blocks briefly until a task completes (or a short timeout, after
     /// which the caller re-checks the queues for newly spawned work).
     pub(crate) fn wait_done_briefly(&self) {
-        let pending = self.pending.lock().expect("scope pending poisoned");
+        let pending = lock(&self.pending);
         if *pending == 0 {
             return;
         }
-        let _unused = self
-            .done
-            .wait_timeout(pending, Duration::from_micros(200))
-            .expect("scope pending poisoned");
+        let _unused = unpoisoned(self.done.wait_timeout(pending, Duration::from_micros(200)));
     }
 }
 
@@ -98,6 +96,10 @@ impl<'env> Scope<'env> {
     /// Spawns `f` onto the pool. The task may borrow from the
     /// environment (`'env`); the owning [`ThreadPool::scope`] call does
     /// not return until the task has run to completion or panicked.
+    #[expect(
+        unsafe_code,
+        reason = "the pool's one unsafe block: erasing the job's lifetime; audited below"
+    )]
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,

@@ -126,6 +126,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test files are written under the temp dir"
+    )]
     fn file_write_roundtrip() {
         let dir = std::env::temp_dir().join("uniq_wav_test");
         std::fs::create_dir_all(&dir).unwrap();

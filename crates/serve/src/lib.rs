@@ -23,7 +23,6 @@
 //!
 //! [`loadgen`] is the matching deterministic closed-loop load harness.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Response lines carry a `status` of `ok`, `error`, or `overloaded`;
-//! see DESIGN.md §16 for the full grammar and the error `kind` table.
+//! see DESIGN.md §15 for the full grammar and the error `kind` table.
 
 use std::collections::BTreeMap;
 

@@ -17,7 +17,11 @@
 //! the `baseline` bench bin can persist its pinned seed-6 artifact here,
 //! and store I/O reports through the `store.*` obs names.
 
-#![forbid(unsafe_code)]
+// A result crate: its output feeds the evaluation numbers, so it must
+// be deterministic and panic-free (DESIGN.md §9).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -456,6 +456,10 @@ mod tests {
         a
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test files are written under the temp dir"
+    )]
     fn temp_root(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join("uniq_store_unit")

@@ -18,7 +18,11 @@
 //!   of the *global template* ("the HRTF available online"): carefully
 //!   measured, but personal to nobody.
 
-#![forbid(unsafe_code)]
+// A result crate: its output feeds the evaluation numbers, so it must
+// be deterministic and panic-free (DESIGN.md §9).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;

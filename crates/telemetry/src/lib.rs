@@ -15,7 +15,6 @@
 //!
 //! Everything here *observes*; nothing steers.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ledger;

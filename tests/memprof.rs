@@ -58,8 +58,9 @@ fn per_stage_allocs_bit_identical_across_runs() {
     assert!(!a.stages.is_empty(), "profile attributed nothing");
 }
 
-/// Pinned per-call allocation allowances for the hot-path stages — the
-/// runtime form of the analyzer's static hot-path-alloc rule. Each stage
+/// Pinned per-call allocation allowances for the hot-path stages, the
+/// measured gate that keeps fusion and channel estimation from growing
+/// per-call allocation. Each stage
 /// is allowed its *pre-span setup* allocations (scratch and output
 /// buffers sized once per call before the tight loops); the gate fails
 /// when a change adds per-call allocation beyond that. The numbers are
